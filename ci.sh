@@ -99,7 +99,7 @@ echo "== ablation smoke run (txbench ablate, collector + directory sections)"
 # both sections and every collector variant.
 ablate_out="$(cargo run --release -q -p txbench --bin ablate -- \
   --threads 1,2,4,8,16,32 --samples 20000 --scale 3)"
-for needle in hashmap_locked arena_owned collector_e2e directory; do
+for needle in arena_owned collector_e2e directory; do
   grep -q "$needle" <<< "$ablate_out" || {
     echo "ablate output missing '$needle'" >&2
     exit 1

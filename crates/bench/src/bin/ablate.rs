@@ -3,10 +3,8 @@
 //!
 //! Two sections, both emitted as TSV on stdout:
 //!
-//! * `collector` — per-sample collector cost across thread counts, three
-//!   variants: `hashmap_locked` (the pre-refactor design: a fresh
-//!   `Vec<NodeKey>` per sample, HashMap-per-node CCT, a mutex acquisition
-//!   per sample), `arena_owned` (reused scratch + arena CCT + thread-owned
+//! * `collector` — per-sample collector cost across thread counts, two
+//!   variants: `arena_owned` (reused scratch + arena CCT + thread-owned
 //!   profile) and `collector_e2e` (the real `Collector::on_sample`,
 //!   classification and shadow memory included).
 //! * `directory` — wall time and dooms for the `true_sharing` microbench
@@ -16,13 +14,12 @@
 //! ablate [--threads 1,2,4,8,16,32] [--samples N] [--scale S] [--seed S]
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use htmbench::harness::RunConfig;
 use rtm_runtime::ThreadState;
 use txsampler::cct::NodeKey;
-use txsampler::cct_ref::HashCct;
 use txsampler::{Cct, Collector, ContentionMap};
 use txsim_htm::DomainConfig;
 use txsim_mem::CacheGeometry;
@@ -111,45 +108,8 @@ impl SyntheticLoad {
     }
 }
 
-/// The pre-refactor per-sample shape: allocate the key vector, then take a
-/// mutex around a HashMap-per-node tree.
-fn run_hashmap_locked(load: &SyntheticLoad, samples: u64) -> u64 {
-    let profile = Arc::new(Mutex::new((HashCct::new(), 0u64)));
-    let mut consumed = 0u64;
-    for i in 0..samples {
-        let (sample, stack) = &load.samples[(i as usize) % load.samples.len()];
-        // Fresh allocation per sample, like the old `context_keys`.
-        let mut keys: Vec<NodeKey> = stack
-            .iter()
-            .map(|f| NodeKey::Frame {
-                func: f.func,
-                callsite: f.callsite,
-                speculative: false,
-            })
-            .collect();
-        if sample.in_tx {
-            let anchor = stack.last().map(|f| f.func).unwrap_or(FuncId::UNKNOWN);
-            let path = txsampler::reconstruct_tx_path(&sample.lbr, anchor);
-            keys.extend(path.frames.iter().map(|f| NodeKey::Frame {
-                func: f.func,
-                callsite: f.callsite,
-                speculative: true,
-            }));
-        }
-        keys.push(NodeKey::Stmt {
-            ip: sample.ip,
-            speculative: sample.in_tx,
-        });
-        let mut guard = profile.lock().expect("bench lock");
-        let node = guard.0.path(keys);
-        guard.0.metrics_mut(node).w += 1;
-        guard.1 += 1;
-        consumed = guard.1;
-    }
-    consumed
-}
-
-/// The refactored per-sample shape: reused scratch, arena tree, owned state.
+/// The collector's per-sample shape without classification: reused
+/// scratch, arena tree, owned state.
 fn run_arena_owned(load: &SyntheticLoad, samples: u64) -> u64 {
     let mut cct = Cct::new();
     let mut scratch: Vec<NodeKey> = Vec::with_capacity(256);
@@ -208,7 +168,6 @@ type Variant = fn(&SyntheticLoad, u64) -> u64;
 
 fn bench_collector(threads: usize, samples: u64) -> Vec<(String, f64)> {
     let variants: Vec<(&str, Variant)> = vec![
-        ("hashmap_locked", run_hashmap_locked),
         ("arena_owned", run_arena_owned),
         ("collector_e2e", run_collector_e2e),
     ];

@@ -260,9 +260,9 @@ pub fn diagnose(profile: &Profile, thresholds: &Thresholds) -> Diagnosis {
             // Adaptive sites with no fallback activity start on the lock,
             // exactly like the runtime's fresh slots.
             let current = profile
-                .backends
+                .site_stats
                 .get(&site)
-                .and_then(|mix| mix.choice())
+                .and_then(|s| s.mix.choice())
                 .and_then(FallbackKind::parse)
                 .or(run_backend)
                 .map(|k| match k {
@@ -678,14 +678,9 @@ mod tests {
             m.aborts_capacity = 10;
             m.capacity_weight = 1000;
             p.meta.fallback = Some("adaptive".to_string());
-            p.backends.insert(
-                Ip::new(FuncId(1), 1),
-                crate::metrics::BackendMix {
-                    stm: 20,
-                    switches: 1,
-                    ..Default::default()
-                },
-            );
+            let mix = &mut p.site_stats.entry(Ip::new(FuncId(1), 1)).or_default().mix;
+            mix.stm = 20;
+            mix.switches = 1;
         });
         let d = diagnose(&p, &Thresholds::default());
         assert!(!d.sites[0]
@@ -695,7 +690,7 @@ mod tests {
         // Without the mix, `fallback=adaptive` means fresh slots on the
         // lock — the switch is advised again.
         let mut q = p.clone();
-        q.backends.clear();
+        q.site_stats.clear();
         let d = diagnose(&q, &Thresholds::default());
         assert!(d.sites[0]
             .suggestions
@@ -717,7 +712,7 @@ mod tests {
             }
             // 30 completions, most at depth 7 through the fallback: tail
             // heavy, commit share 1/30.
-            let h = p.hists.entry(site).or_default();
+            let h = &mut p.site_stats.entry(site).or_default().hists;
             h.record_completion(500, 1, None);
             for _ in 0..29 {
                 h.record_completion(9000, 7, Some(4000));
@@ -743,7 +738,7 @@ mod tests {
             for _ in 0..100 {
                 p.cct.metrics_mut(n).add_cycles_sample(TimeComponent::Tx);
             }
-            let h = p.hists.entry(site).or_default();
+            let h = &mut p.site_stats.entry(site).or_default().hists;
             for _ in 0..30 {
                 h.record_completion(500, 1, None);
             }
@@ -758,7 +753,7 @@ mod tests {
             for _ in 0..100 {
                 p.cct.metrics_mut(n).add_cycles_sample(TimeComponent::Tx);
             }
-            let h = p.hists.entry(site).or_default();
+            let h = &mut p.site_stats.entry(site).or_default().hists;
             for _ in 0..30 {
                 h.record_completion(500, 7, None);
             }

@@ -23,12 +23,12 @@
 
 use std::fmt::Write as _;
 
-use rtm_runtime::{CmStats, SiteHists};
+use rtm_runtime::{BackendMix, CmStats, SiteHists};
 use txsim_pmu::Ip;
 
 use crate::cct::{Cct, NodeId, NodeKey, ROOT};
 use crate::decision::{diagnose, Suggestion, Thresholds};
-use crate::metrics::{BackendMix, Metrics};
+use crate::metrics::Metrics;
 use crate::profile::{Profile, TimeBreakdown};
 use crate::report::{bar, key_rank, pct};
 use crate::view::NameSource;
@@ -383,26 +383,25 @@ pub fn diff_profiles(a: &Profile, b: &Profile, thresholds: &Thresholds) -> Profi
 
     // Per-site histogram join: every site with distributions on either
     // side whose histograms differ.
-    let mut hist_sites: Vec<HistSiteDiff> = Vec::new();
-    for (site, ah) in &a.hists {
-        let bh = b.hists.get(site).copied().unwrap_or_default();
-        if *ah != bh {
-            hist_sites.push(HistSiteDiff {
+    let hists_at =
+        |p: &Profile, site: &Ip| p.site_stats.get(site).map(|s| s.hists).unwrap_or_default();
+    let mut hist_sites: Vec<HistSiteDiff> = a
+        .site_stats
+        .keys()
+        .chain(
+            b.site_stats
+                .keys()
+                .filter(|s| !a.site_stats.contains_key(s)),
+        )
+        .filter_map(|site| {
+            let (ah, bh) = (hists_at(a, site), hists_at(b, site));
+            (ah != bh).then_some(HistSiteDiff {
                 site: *site,
-                a: *ah,
+                a: ah,
                 b: bh,
-            });
-        }
-    }
-    for (site, bh) in &b.hists {
-        if !a.hists.contains_key(site) {
-            hist_sites.push(HistSiteDiff {
-                site: *site,
-                a: SiteHists::default(),
-                b: *bh,
-            });
-        }
-    }
+            })
+        })
+        .collect();
     hist_sites.sort_by_key(|d| {
         (
             std::cmp::Reverse(d.d_p99_bucket().unwrap_or(0)),
@@ -411,6 +410,7 @@ pub fn diff_profiles(a: &Profile, b: &Profile, thresholds: &Thresholds) -> Profi
         )
     });
 
+    let (a_sites, b_sites) = (a.site_totals(), b.site_totals());
     ProfileDiff {
         a_breakdown: TimeBreakdown::from_metrics(&a_totals),
         b_breakdown: TimeBreakdown::from_metrics(&b_totals),
@@ -423,10 +423,10 @@ pub fn diff_profiles(a: &Profile, b: &Profile, thresholds: &Thresholds) -> Profi
         sites,
         hist_sites,
         suggestions: suggestion_changes(a, b, thresholds),
-        a_mix: a.meta.mix.unwrap_or_else(|| a.backend_totals()),
-        b_mix: b.meta.mix.unwrap_or_else(|| b.backend_totals()),
-        a_cm: a.cm_totals(),
-        b_cm: b.cm_totals(),
+        a_mix: a.meta.mix.unwrap_or(a_sites.mix),
+        b_mix: b.meta.mix.unwrap_or(b_sites.mix),
+        a_cm: a_sites.cm,
+        b_cm: b_sites.cm,
         warnings: provenance_warnings(a, b),
     }
 }
@@ -884,14 +884,9 @@ mod tests {
         );
         // Without a stamped meta mix the per-site table is summed instead.
         b.meta.mix = None;
-        b.backends.insert(
-            Ip::new(FuncId(1), 1),
-            BackendMix {
-                hle: 4,
-                switches: 1,
-                ..Default::default()
-            },
-        );
+        let mix = &mut b.site_stats.entry(Ip::new(FuncId(1), 1)).or_default().mix;
+        mix.hle = 4;
+        mix.switches = 1;
         let d = diff_profiles(&a, &b, &Thresholds::default());
         assert_eq!(d.b_mix.hle, 4);
         assert_eq!(d.b_mix.switches, 1);
@@ -909,8 +904,8 @@ mod tests {
             ah.record_completion(100, 1, None); // bucket 6, le 127
             bh.record_completion(900, 3, None); // bucket 9, le 1023
         }
-        a.hists.insert(site, ah);
-        b.hists.insert(site, bh);
+        a.site_stats.entry(site).or_default().hists = ah;
+        b.site_stats.entry(site).or_default().hists = bh;
         let d = diff_profiles(&a, &b, &Thresholds::default());
         assert_eq!(d.hist_sites.len(), 1);
         assert_eq!(d.hist_sites[0].d_p99_bucket(), Some(3));
@@ -939,7 +934,7 @@ mod tests {
         for _ in 0..10 {
             thin.record_completion(100, 1, None);
         }
-        a.hists.insert(site, thin);
+        a.site_stats.entry(site).or_default().hists = thin;
         let d = diff_profiles(&a, &b, &Thresholds::default());
         assert_eq!(d.hist_sites.len(), 1);
         assert!(d.p99_regressions(2).is_empty());

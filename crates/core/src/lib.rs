@@ -61,7 +61,6 @@
 pub mod analyze;
 pub mod callpath;
 pub mod cct;
-pub mod cct_ref;
 pub mod collect;
 pub mod contention;
 pub mod decision;
@@ -84,7 +83,7 @@ pub use contention::{ContentionMap, Sharing};
 pub use decision::{diagnose, Diagnosis, Suggestion, Thresholds};
 pub use diff::{diff_profiles, render_diff, render_totals_diff, ProfileDiff};
 pub use imbalance::{detect_imbalance, Imbalance, ImbalanceKind};
-pub use metrics::{BackendMix, Metrics, TimeComponent};
+pub use metrics::{Metrics, TimeComponent};
 pub use profile::{Periods, Profile, RunMeta, ThreadProfile, TimeBreakdown};
-pub use rtm_runtime::{CmKind, CmStats, Hist32, SiteHists, HIST_BUCKETS};
+pub use rtm_runtime::{BackendMix, CmKind, CmStats, Hist32, SiteHists, SiteStats, HIST_BUCKETS};
 pub use view::{NameSource, ProfileView};

@@ -184,70 +184,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Runtime-reported fallback-backend activity for one site (or a whole
-/// run): how many fallback completions each concrete flavor served, plus
-/// how often the adaptive policy switched the site. All fields are monotone
-/// counts, so the type composes exactly like [`Metrics`]: `merge` across
-/// threads/instances, `minus` between cumulative snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackendMix {
-    /// Fallback completions serialized under the global lock.
-    pub lock: u64,
-    /// Fallback completions dispatched to the software TM.
-    pub stm: u64,
-    /// Fallback completions dispatched to the elided lock.
-    pub hle: u64,
-    /// Backend switches performed by the adaptive policy.
-    pub switches: u64,
-}
-
-impl BackendMix {
-    /// Total fallback completions across flavors.
-    pub fn total(&self) -> u64 {
-        self.lock + self.stm + self.hle
-    }
-
-    /// Whether every count is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == BackendMix::default()
-    }
-
-    /// Add another mix's counts into this one.
-    pub fn merge(&mut self, o: &BackendMix) {
-        self.lock += o.lock;
-        self.stm += o.stm;
-        self.hle += o.hle;
-        self.switches += o.switches;
-    }
-
-    /// Field-wise saturating difference `self - earlier` (window between
-    /// two cumulative snapshots).
-    pub fn minus(&self, earlier: &BackendMix) -> BackendMix {
-        BackendMix {
-            lock: self.lock.saturating_sub(earlier.lock),
-            stm: self.stm.saturating_sub(earlier.stm),
-            hle: self.hle.saturating_sub(earlier.hle),
-            switches: self.switches.saturating_sub(earlier.switches),
-        }
-    }
-
-    /// The dominant flavor by completion count (`None` when nothing ran on
-    /// the fallback path). Ties resolve in lock → stm → hle order, matching
-    /// the runtime's own default-first preference.
-    pub fn choice(&self) -> Option<&'static str> {
-        if self.total() == 0 {
-            return None;
-        }
-        let mut best = ("lock", self.lock);
-        for (label, n) in [("stm", self.stm), ("hle", self.hle)] {
-            if n > best.1 {
-                best = (label, n);
-            }
-        }
-        Some(best.0)
-    }
-}
-
 /// Which timing component a cycles sample belongs to — the output of the
 /// paper's Figure 4 attribution algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,37 +329,5 @@ mod tests {
             ..Metrics::default()
         };
         assert!(m.abort_commit_ratio().is_infinite());
-    }
-
-    #[test]
-    fn backend_mix_merges_diffs_and_chooses() {
-        let mut a = BackendMix {
-            lock: 2,
-            stm: 10,
-            hle: 1,
-            switches: 1,
-        };
-        let b = BackendMix {
-            lock: 1,
-            stm: 0,
-            hle: 8,
-            switches: 2,
-        };
-        a.merge(&b);
-        assert_eq!(a.total(), 22);
-        assert_eq!(a.choice(), Some("stm"));
-        let window = a.minus(&b);
-        assert_eq!(window.stm, 10);
-        assert_eq!(window.switches, 1);
-        assert!(b.minus(&a).is_zero(), "saturating, not wrapping");
-        assert_eq!(BackendMix::default().choice(), None);
-        // Ties prefer the runtime's default flavor.
-        let tie = BackendMix {
-            lock: 3,
-            stm: 3,
-            hle: 3,
-            switches: 0,
-        };
-        assert_eq!(tie.choice(), Some("lock"));
     }
 }

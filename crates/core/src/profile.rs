@@ -3,11 +3,11 @@
 
 use std::collections::HashMap;
 
-use rtm_runtime::{CmStats, Hist32, SiteHists};
+use rtm_runtime::{BackendMix, SiteHists, SiteStats};
 use txsim_pmu::{EventKind, Ip, SamplingConfig};
 
 use crate::cct::Cct;
-use crate::metrics::{BackendMix, Metrics};
+use crate::metrics::Metrics;
 
 /// Sampling periods in force during collection, kept so sample counts can
 /// be scaled back to estimated event counts (1 sample ≈ `period` events).
@@ -64,18 +64,11 @@ pub struct ThreadProfile {
     /// Per transaction-site (commit samples, abort samples) — feeds the
     /// per-thread histogram view.
     pub sites: HashMap<Ip, (u64, u64)>,
-    /// Runtime-reported per-site fallback-backend activity (adaptive
-    /// backend only; empty under static backends). Fed by the harness from
-    /// the runtime's thread-private site tables, not from PMU samples.
-    pub backends: HashMap<Ip, BackendMix>,
-    /// Runtime-reported per-site latency/retry-depth histograms, fed by the
-    /// harness from the runtime's thread-private histogram tables. Empty
-    /// when the run did not enable histogram collection.
-    pub hists: HashMap<Ip, SiteHists>,
-    /// Runtime-reported per-site contention-management interventions
-    /// (yields, stalls, escalations, priority aborts). Empty when no
-    /// contention manager ever intervened.
-    pub cm: HashMap<Ip, CmStats>,
+    /// Runtime-reported per-site records (fallback mix, latency/retry-depth
+    /// histograms, contention-management interventions), fed by the
+    /// harness from the runtime's thread-private ledger, not from PMU
+    /// samples. Empty when the run did not enable the ledger.
+    pub site_stats: HashMap<Ip, SiteStats>,
 }
 
 impl ThreadProfile {
@@ -84,19 +77,9 @@ impl ThreadProfile {
         self.sites.entry(site).or_insert((0, 0))
     }
 
-    /// Mutable access to a site's backend-mix counters.
-    pub fn backend_mix(&mut self, site: Ip) -> &mut BackendMix {
-        self.backends.entry(site).or_default()
-    }
-
-    /// Mutable access to a site's latency/retry-depth histograms.
-    pub fn site_hists(&mut self, site: Ip) -> &mut SiteHists {
-        self.hists.entry(site).or_default()
-    }
-
-    /// Mutable access to a site's contention-management counters.
-    pub fn cm_stats(&mut self, site: Ip) -> &mut CmStats {
-        self.cm.entry(site).or_default()
+    /// Mutable access to a site's runtime-reported record.
+    pub fn site_stats_mut(&mut self, site: Ip) -> &mut SiteStats {
+        self.site_stats.entry(site).or_default()
     }
 
     /// Drain the accumulated data, leaving an empty profile that keeps its
@@ -113,9 +96,7 @@ impl ThreadProfile {
             truncated_paths: std::mem::take(&mut self.truncated_paths),
             interrupt_abort_samples: std::mem::take(&mut self.interrupt_abort_samples),
             sites: std::mem::take(&mut self.sites),
-            backends: std::mem::take(&mut self.backends),
-            hists: std::mem::take(&mut self.hists),
-            cm: std::mem::take(&mut self.cm),
+            site_stats: std::mem::take(&mut self.site_stats),
         }
     }
 
@@ -135,15 +116,7 @@ impl ThreadProfile {
             e.0 += commits;
             e.1 += aborts;
         }
-        for (site, mix) in &other.backends {
-            self.backend_mix(*site).merge(mix);
-        }
-        for (site, hists) in &other.hists {
-            self.site_hists(*site).merge(hists);
-        }
-        for (site, stats) in &other.cm {
-            self.cm_stats(*site).merge(stats);
-        }
+        merge_site_stats(&mut self.site_stats, &other.site_stats);
     }
 
     /// Whether the profile holds no samples at all.
@@ -151,9 +124,14 @@ impl ThreadProfile {
         self.samples == 0
             && self.cct.is_empty()
             && self.interrupt_abort_samples == 0
-            && self.backends.is_empty()
-            && self.hists.is_empty()
-            && self.cm.is_empty()
+            && self.site_stats.is_empty()
+    }
+}
+
+/// Fold per-site records into `into`, summing records of the same site.
+pub(crate) fn merge_site_stats(into: &mut HashMap<Ip, SiteStats>, from: &HashMap<Ip, SiteStats>) {
+    for (site, s) in from {
+        into.entry(*site).or_default().merge(s);
     }
 }
 
@@ -224,15 +202,12 @@ pub struct Profile {
     pub truncated_paths: u64,
     /// Discounted profiler-induced abort samples.
     pub interrupt_abort_samples: u64,
-    /// Per-site fallback-backend activity merged across threads (adaptive
-    /// backend only; empty under static backends).
-    pub backends: HashMap<Ip, BackendMix>,
-    /// Per-site latency/retry-depth histograms merged across threads.
-    /// Empty when the run did not enable histogram collection.
-    pub hists: HashMap<Ip, SiteHists>,
-    /// Per-site contention-management interventions merged across threads.
-    /// Empty when no contention manager ever intervened.
-    pub cm: HashMap<Ip, CmStats>,
+    /// Runtime-reported per-site records merged across threads. A zero
+    /// component means the same as an absent one: the fallback mix is
+    /// zero under static backends, the histograms are zero when the run
+    /// did not enable the ledger, the CM counters are zero when no
+    /// contention manager intervened.
+    pub site_stats: HashMap<Ip, SiteStats>,
     /// Provenance of the run that produced this profile, if known.
     pub meta: RunMeta,
 }
@@ -317,15 +292,7 @@ impl Profile {
             entry.0 += c;
             entry.1 += a;
         }
-        for (site, mix) in &delta.backends {
-            self.backends.entry(*site).or_default().merge(mix);
-        }
-        for (site, h) in &delta.hists {
-            self.hists.entry(*site).or_default().merge(h);
-        }
-        for (site, s) in &delta.cm {
-            self.cm.entry(*site).or_default().merge(s);
-        }
+        merge_site_stats(&mut self.site_stats, &delta.site_stats);
     }
 
     /// A copy of this profile with every function id rewritten through `f`
@@ -361,30 +328,15 @@ impl Profile {
             samples: self.samples,
             truncated_paths: self.truncated_paths,
             interrupt_abort_samples: self.interrupt_abort_samples,
-            backends: self
-                .backends
+            site_stats: self
+                .site_stats
                 .iter()
-                .fold(HashMap::new(), |mut acc, (site, mix)| {
+                .fold(HashMap::new(), |mut acc, (site, s)| {
                     acc.entry(Ip::new(f(site.func), site.line))
                         .or_default()
-                        .merge(mix);
+                        .merge(s);
                     acc
                 }),
-            hists: self
-                .hists
-                .iter()
-                .fold(HashMap::new(), |mut acc, (site, h)| {
-                    acc.entry(Ip::new(f(site.func), site.line))
-                        .or_default()
-                        .merge(h);
-                    acc
-                }),
-            cm: self.cm.iter().fold(HashMap::new(), |mut acc, (site, s)| {
-                acc.entry(Ip::new(f(site.func), site.line))
-                    .or_default()
-                    .merge(s);
-                acc
-            }),
             meta: self.meta.clone(),
         }
     }
@@ -425,51 +377,42 @@ impl Profile {
                 e.1 += a;
             }
         }
-        for (site, mix) in &other.backends {
-            self.backends.entry(*site).or_default().merge(mix);
-        }
-        for (site, h) in &other.hists {
-            self.hists.entry(*site).or_default().merge(h);
-        }
-        for (site, s) in &other.cm {
-            self.cm.entry(*site).or_default().merge(s);
-        }
+        merge_site_stats(&mut self.site_stats, &other.site_stats);
     }
 
-    /// Sum of per-site backend mixes — the run's overall fallback mix.
-    pub fn backend_totals(&self) -> BackendMix {
-        let mut acc = BackendMix::default();
-        for mix in self.backends.values() {
-            acc.merge(mix);
-        }
-        acc
-    }
-
-    /// Sum of per-site contention-management counters — the run's overall
-    /// CM intervention totals.
-    pub fn cm_totals(&self) -> CmStats {
-        let mut acc = CmStats::default();
-        for s in self.cm.values() {
+    /// Sum of every site's record — the run's overall fallback mix, CM
+    /// intervention totals and merged histograms (the run-wide latency
+    /// distribution behind the `/trend` p99 column).
+    pub fn site_totals(&self) -> SiteStats {
+        let mut acc = SiteStats::default();
+        for s in self.site_stats.values() {
             acc.merge(s);
         }
         acc
     }
 
-    /// Committed-transaction duration histogram merged across all sites —
-    /// the run-wide latency distribution behind the `/trend` p99 column.
-    pub fn tx_cycles_totals(&self) -> Hist32 {
-        let mut acc = Hist32::default();
-        for h in self.hists.values() {
-            acc.merge(&h.tx_cycles);
-        }
-        acc
+    /// Sites with a non-zero component picked by `component`, sorted by
+    /// `(func, line)` — the byte-stable order every per-site renderer uses.
+    pub fn sites_with<T>(&self, component: impl Fn(&SiteStats) -> &T) -> Vec<(Ip, &T)>
+    where
+        T: Default + PartialEq,
+    {
+        let zero = T::default();
+        let mut out: Vec<_> = self
+            .site_stats
+            .iter()
+            .map(|(ip, s)| (*ip, component(s)))
+            .filter(|(_, c)| **c != zero)
+            .collect();
+        out.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
+        out
     }
 
     /// Histogram sites ranked by retry-depth p99 bucket (descending), then
     /// by completion count — the ordering the percentiles report pass and
     /// the starvation diagnosis walk.
     pub fn hist_sites(&self) -> Vec<(Ip, &SiteHists)> {
-        let mut out: Vec<_> = self.hists.iter().map(|(ip, h)| (*ip, h)).collect();
+        let mut out = self.sites_with(|s| &s.hists);
         out.sort_by_key(|(ip, h)| {
             (
                 std::cmp::Reverse(h.retry_depth.percentile_bucket(0.99)),
@@ -702,115 +645,70 @@ mod tests {
     }
 
     #[test]
-    fn backend_mixes_flow_through_delta_absorb_and_remap() {
+    fn site_stats_flow_through_delta_absorb_and_remap() {
+        use rtm_runtime::{CmEvent, FallbackKind};
         let site = Ip::new(FuncId(3), 7);
+        // Each component alone makes a thread profile non-empty.
+        for book in [
+            |s: &mut SiteStats| s.mix.book(FallbackKind::Lock, true),
+            |s: &mut SiteStats| s.hists.record_completion(100, 2, None),
+            |s: &mut SiteStats| s.cm.note(CmEvent::Yield),
+        ] {
+            let mut tp = ThreadProfile::default();
+            book(tp.site_stats_mut(site));
+            assert!(!tp.is_empty());
+        }
+
         let mut tp = ThreadProfile {
             tid: 0,
             ..ThreadProfile::default()
         };
-        tp.backend_mix(site).lock = 5;
-        tp.backend_mix(site).switches = 1;
-        assert!(!tp.is_empty(), "backend activity alone makes it non-empty");
-
+        let s = tp.site_stats_mut(site);
+        s.mix.lock = 5;
+        s.mix.switches = 1;
+        s.hists.record_completion(100, 2, None);
+        s.hists.record_completion(900, 7, Some(400));
+        s.cm.yields = 4;
         let delta = tp.take_delta();
-        assert!(tp.backends.is_empty(), "take_delta drains the mix");
+        assert!(tp.site_stats.is_empty(), "take_delta drains the records");
         let mut p = Profile::default();
         p.absorb_thread_delta(&delta);
-        assert_eq!(p.backends[&site].lock, 5);
-        assert_eq!(p.backend_totals().switches, 1);
+        assert_eq!(p.site_stats[&site], delta.site_stats[&site]);
 
-        // Second delta from another thread merges additively.
+        // A second thread's delta merges additively, component by component.
         let mut tp2 = ThreadProfile {
             tid: 1,
             ..ThreadProfile::default()
         };
-        tp2.backend_mix(site).stm = 3;
+        let s = tp2.site_stats_mut(site);
+        s.mix.stm = 3;
+        s.cm.stalls = 3;
         p.absorb_thread_delta(&tp2.take_delta());
-        assert_eq!(p.backends[&site].stm, 3);
-        assert_eq!(p.backend_totals().total(), 8);
+        let totals = p.site_totals();
+        assert_eq!((totals.mix.total(), totals.mix.switches), (8, 1));
+        assert_eq!(totals.cm.total(), 7);
+        assert_eq!(totals.hists.tx_cycles.count, 2);
+        assert_eq!(totals.hists.tx_cycles.sum, 1000);
+        assert_eq!(totals.hists.fb_dwell.count, 1);
 
-        // Fleet-merge and remap keep the mix keyed per site.
+        // Fleet-merge and remap keep the record keyed per site.
         let mut fleet = Profile::default();
         fleet.absorb_profile(&p, 0);
         fleet.absorb_profile(&p, 1000);
-        assert_eq!(fleet.backends[&site].lock, 10);
         let q = fleet.remap_funcs(&mut |f| FuncId(f.0 + 100));
-        assert_eq!(q.backends[&Ip::new(FuncId(103), 7)].stm, 6);
-        assert!(!q.backends.contains_key(&site));
-    }
+        assert!(!q.site_stats.contains_key(&site));
+        let moved = q.site_stats[&Ip::new(FuncId(103), 7)];
+        assert_eq!(moved.mix.lock, 10);
+        assert_eq!(moved.cm.yields, 8);
+        assert_eq!(moved.hists.retry_depth.count, 4);
 
-    #[test]
-    fn hists_flow_through_delta_absorb_and_remap() {
-        let site = Ip::new(FuncId(3), 7);
-        let mut tp = ThreadProfile {
-            tid: 0,
-            ..ThreadProfile::default()
-        };
-        tp.site_hists(site).record_completion(100, 2, None);
-        tp.site_hists(site).record_completion(900, 7, Some(400));
-        assert!(!tp.is_empty(), "histogram data alone makes it non-empty");
-
-        let delta = tp.take_delta();
-        assert!(tp.hists.is_empty(), "take_delta drains the histograms");
-        let mut p = Profile::default();
-        p.absorb_thread_delta(&delta);
-        assert_eq!(p.hists[&site].tx_cycles.count, 2);
-        assert_eq!(p.hists[&site].tx_cycles.sum, 1000);
-        assert_eq!(p.hists[&site].retry_depth.count, 2);
-        assert_eq!(p.hists[&site].fb_dwell.count, 1);
-        assert_eq!(p.tx_cycles_totals().count, 2);
-
-        // Fleet-merge and remap keep the histograms keyed per site.
-        let mut fleet = Profile::default();
-        fleet.absorb_profile(&p, 0);
-        fleet.absorb_profile(&p, 1000);
-        assert_eq!(fleet.hists[&site].tx_cycles.count, 4);
-        let q = fleet.remap_funcs(&mut |f| FuncId(f.0 + 100));
-        assert_eq!(q.hists[&Ip::new(FuncId(103), 7)].fb_dwell.count, 2);
-        assert!(!q.hists.contains_key(&site));
-
-        // Ranking: the site exists and reports a p99 retry-depth bucket.
-        let ranked = q.hist_sites();
+        // Ranking: the site reports a p99 retry-depth bucket; a site with
+        // no histogram data is not a histogram site.
+        let mut r = q.clone();
+        r.site_stats.insert(site, SiteStats::default());
+        let ranked = r.hist_sites();
         assert_eq!(ranked.len(), 1);
         assert!(ranked[0].1.retry_depth.percentile(0.99).is_some());
-    }
-
-    #[test]
-    fn cm_stats_flow_through_delta_absorb_and_remap() {
-        let site = Ip::new(FuncId(3), 7);
-        let mut tp = ThreadProfile {
-            tid: 0,
-            ..ThreadProfile::default()
-        };
-        tp.cm_stats(site).yields = 4;
-        tp.cm_stats(site).priority_aborts = 2;
-        assert!(!tp.is_empty(), "CM activity alone makes it non-empty");
-
-        let delta = tp.take_delta();
-        assert!(tp.cm.is_empty(), "take_delta drains the CM counters");
-        let mut p = Profile::default();
-        p.absorb_thread_delta(&delta);
-        assert_eq!(p.cm[&site].yields, 4);
-
-        // Second delta from another thread merges additively.
-        let mut tp2 = ThreadProfile {
-            tid: 1,
-            ..ThreadProfile::default()
-        };
-        tp2.cm_stats(site).stalls = 3;
-        tp2.cm_stats(site).escalations = 1;
-        p.absorb_thread_delta(&tp2.take_delta());
-        assert_eq!(p.cm[&site].stalls, 3);
-        assert_eq!(p.cm_totals().total(), 10);
-
-        // Fleet-merge and remap keep the counters keyed per site.
-        let mut fleet = Profile::default();
-        fleet.absorb_profile(&p, 0);
-        fleet.absorb_profile(&p, 1000);
-        assert_eq!(fleet.cm[&site].yields, 8);
-        let q = fleet.remap_funcs(&mut |f| FuncId(f.0 + 100));
-        assert_eq!(q.cm[&Ip::new(FuncId(103), 7)].escalations, 2);
-        assert!(!q.cm.contains_key(&site));
     }
 
     #[test]

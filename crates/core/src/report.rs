@@ -587,7 +587,7 @@ fn summary_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
 /// unchanged.
 fn backend_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
     let p = view.profile;
-    let totals = p.backend_totals();
+    let totals = p.site_totals().mix;
     if totals.is_zero() && p.meta.mix.is_none() {
         return String::new();
     }
@@ -596,13 +596,11 @@ fn backend_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
         "fallback mix: lock {} stm {} hle {}  (backend switches: {})\n",
         mix.lock, mix.stm, mix.hle, mix.switches
     );
-    let mut sites: Vec<_> = p.backends.iter().collect();
-    sites.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, m) in sites {
+    for (site, m) in p.sites_with(|s| &s.mix) {
         writeln!(
             out,
             "  site {:<30} -> {:<4}  lock {:>6} stm {:>6} hle {:>6} switches {:>3}",
-            view.ip_name(*site),
+            view.ip_name(site),
             m.choice().unwrap_or("-"),
             m.lock,
             m.stm,
@@ -702,8 +700,9 @@ fn contention_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
     // CM lines render only for runs that actually had a contention manager
     // in play (per-site interventions, or at least `cm=` provenance), so
     // reports of older profiles are byte-identical.
-    if !view.profile.cm.is_empty() || view.profile.meta.cm.is_some() {
-        let t = view.profile.cm_totals();
+    let mut sites = view.profile.sites_with(|s| &s.cm);
+    if !sites.is_empty() || view.profile.meta.cm.is_some() {
+        let t = view.profile.site_totals().cm;
         writeln!(
             out,
             "contention manager ({}): {} yields, {} stalls, {} escalations, {} priority aborts",
@@ -714,13 +713,12 @@ fn contention_pass(view: &ProfileView, _opts: &ReportOptions) -> String {
             t.priority_aborts
         )
         .unwrap();
-        let mut sites: Vec<_> = view.profile.cm.iter().collect();
         sites.sort_by_key(|(site, s)| (std::cmp::Reverse(s.total()), site.func.0, site.line));
         for (site, s) in sites.into_iter().take(8) {
             writeln!(
                 out,
                 "  site {:<30} yields {:>7} stalls {:>7} escalations {:>5} priority-aborts {:>5}",
-                view.ip_name(*site),
+                view.ip_name(site),
                 s.yields,
                 s.stalls,
                 s.escalations,
@@ -973,20 +971,15 @@ mod tests {
         );
 
         p.meta.fallback = Some("adaptive".to_string());
-        p.meta.mix = Some(crate::metrics::BackendMix {
+        p.meta.mix = Some(crate::BackendMix {
             lock: 9,
             stm: 4,
             hle: 2,
             switches: 3,
         });
-        p.backends.insert(
-            Ip::new(FuncId(1), 12),
-            crate::metrics::BackendMix {
-                stm: 4,
-                switches: 1,
-                ..Default::default()
-            },
-        );
+        let mix = &mut p.site_stats.entry(Ip::new(FuncId(1), 12)).or_default().mix;
+        mix.stm = 4;
+        mix.switches = 1;
         let view = ProfileView::from_registry(&p, &registry);
         let report = render_report(&view, &ReportOptions::default());
         assert!(
@@ -1009,7 +1002,7 @@ mod tests {
         );
 
         let site = Ip::new(FuncId(1), 12);
-        let h = p.hists.entry(site).or_default();
+        let h = &mut p.site_stats.entry(site).or_default().hists;
         for _ in 0..98 {
             h.record_completion(100, 1, None);
         }

@@ -10,7 +10,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
-use rtm_runtime::{Hist32, HIST_BUCKETS};
+use rtm_runtime::{BackendMix, CmStats, Hist32, HIST_BUCKETS};
 use txsim_pmu::{FuncId, FuncRegistry, Ip};
 
 use crate::cct::{NodeKey, ROOT};
@@ -19,15 +19,11 @@ use crate::profile::{Periods, Profile, RunMeta, ThreadSummary};
 
 /// Format version written into the header.
 ///
-/// - v1: header + periods/func/node/thread/site records.
-/// - v2: adds an optional `meta` record (run provenance: workload name,
-///   thread count, cycles sampling period) directly after the header.
-/// - v3: metric records grow from 18 to 21 fields (`t_fb_stm`,
-///   `aborts_validation`, `validation_weight` — the STM fallback
-///   sub-breakdown), and `meta` learns the `fallback=` backend key.
-/// - v4: `meta` learns the `mix=` key (final fallback-execution mix of an
-///   adaptive run: `lock:stm:hle:switches`), and a new `backend` record
-///   carries the per-site mix. Metric arity is unchanged from v3.
+/// - v1–v4 (no longer loaded): header + periods/func/node/thread/site
+///   records, the optional `meta` provenance record (`workload=`,
+///   `threads=`, `period=`, `fallback=`, `mix=` keys), 21-field metric
+///   records, and the per-site `backend` mix record
+///   (`func line lock stm hle switches`).
 /// - v5: a new `hist` record carries one per-site log-bucketed histogram
 ///   (`func line kind count sum b0..b31`, kind ∈ `tx_cycles` /
 ///   `retry_depth` / `fb_dwell`). Everything else is unchanged from v4.
@@ -36,13 +32,14 @@ use crate::profile::{Periods, Profile, RunMeta, ThreadSummary};
 ///   per-site intervention counters
 ///   (`func line yields stalls escalations priority_aborts`).
 ///
-/// The loader accepts all of them; pre-v3 files load with the new fields
-/// zero and no recorded backend, pre-v4 files with no recorded mix,
-/// pre-v5 files with no histograms, pre-v6 files with no CM provenance.
+/// The loader accepts v5 and v6; v5 files load with no CM provenance. The
+/// `backend`, `hist` and `cm` records are the three components of one
+/// per-site [`rtm_runtime::SiteStats`]; a component that is all zero is
+/// never written, and a record that would carry one is rejected.
 pub const FORMAT_VERSION: u32 = 6;
 
 /// Oldest format version the loader still accepts.
-pub const MIN_FORMAT_VERSION: u32 = 1;
+pub const MIN_FORMAT_VERSION: u32 = 5;
 
 /// Function names carried alongside a profile: serialized func id → name.
 /// Optional in the format (`func` records); when present they make the
@@ -81,13 +78,7 @@ fn referenced_funcs(profile: &Profile) -> BTreeSet<u32> {
             ids.insert(site.func.0);
         }
     }
-    for site in profile.backends.keys() {
-        ids.insert(site.func.0);
-    }
-    for site in profile.hists.keys() {
-        ids.insert(site.func.0);
-    }
-    for site in profile.cm.keys() {
+    for site in profile.site_stats.keys() {
         ids.insert(site.func.0);
     }
     ids
@@ -180,7 +171,9 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
 
     for t in &profile.threads {
         writeln!(out, "thread\t{}\t{}", t.tid, metrics_fields(&t.totals)).unwrap();
-        for (site, (c, a)) in &t.sites {
+        let mut sites: Vec<_> = t.sites.iter().collect();
+        sites.sort_by_key(|(site, _)| (site.func.0, site.line));
+        for (site, (c, a)) in sites {
             writeln!(
                 out,
                 "site\t{}\t{}\t{}\t{}\t{}",
@@ -190,10 +183,9 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
         }
     }
 
-    // Per-site backend mix (v4), sorted for byte-stable output.
-    let mut backends: Vec<_> = profile.backends.iter().collect();
-    backends.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, mix) in backends {
+    // Per-site records, one component per record kind, sorted for
+    // byte-stable output; zero components are skipped entirely.
+    for (site, mix) in profile.sites_with(|s| &s.mix) {
         writeln!(
             out,
             "backend\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -201,12 +193,7 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
         )
         .unwrap();
     }
-
-    // Per-site histograms (v5), sorted for byte-stable output; empty
-    // component histograms are skipped entirely.
-    let mut hists: Vec<_> = profile.hists.iter().collect();
-    hists.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, h) in hists {
+    for (site, h) in profile.sites_with(|s| &s.hists) {
         for (kind, hist) in [
             ("tx_cycles", &h.tx_cycles),
             ("retry_depth", &h.retry_depth),
@@ -228,15 +215,7 @@ fn write_records(out: &mut String, profile: &Profile, name_of: &dyn Fn(FuncId) -
             .unwrap();
         }
     }
-
-    // Per-site contention-management counters (v6), sorted for byte-stable
-    // output; all-zero entries are skipped entirely.
-    let mut cm: Vec<_> = profile.cm.iter().collect();
-    cm.sort_by_key(|(site, _)| (site.func.0, site.line));
-    for (site, s) in cm {
-        if s.is_zero() {
-            continue;
-        }
+    for (site, s) in profile.sites_with(|s| &s.cm) {
         writeln!(
             out,
             "cm\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -273,16 +252,12 @@ fn metrics_fields(m: &Metrics) -> String {
     )
 }
 
-fn parse_metrics(s: &str, version: u32) -> Result<Metrics, LoadError> {
+fn parse_metrics(s: &str) -> Result<Metrics, LoadError> {
     let v: Vec<u64> = s
         .split(' ')
         .map(|f| f.parse().map_err(|_| LoadError::bad("metric field")))
         .collect::<Result<_, _>>()?;
-    // Pre-v3 files carry 18 fields (the STM sub-breakdown loads as zero);
-    // v3 carries 21. The arity is pinned to the declared version so a
-    // truncated v3 line can never masquerade as a valid v2 record.
-    let expected = if version < 3 { 18 } else { 21 };
-    if v.len() != expected {
+    if v.len() != 21 {
         return Err(LoadError::bad("metric arity"));
     }
     Ok(Metrics {
@@ -304,9 +279,9 @@ fn parse_metrics(s: &str, version: u32) -> Result<Metrics, LoadError> {
         sync_weight: v[15],
         true_sharing: v[16],
         false_sharing: v[17],
-        t_fb_stm: v.get(18).copied().unwrap_or(0),
-        aborts_validation: v.get(19).copied().unwrap_or(0),
-        validation_weight: v.get(20).copied().unwrap_or(0),
+        t_fb_stm: v[18],
+        aborts_validation: v[19],
+        validation_weight: v[20],
     })
 }
 
@@ -402,7 +377,7 @@ pub fn load_with_funcs(text: &str) -> Result<(Profile, FuncNames), LoadError> {
 
 /// Parse every record after the header line into `profile`/`funcs` — the
 /// body grammar shared by whole-profile files and delta chunks. `version`
-/// selects the metric arity (pre-v3 files carry 18 fields).
+/// gates the v6 additions (`cm` records and the `cm=` meta key).
 fn parse_records<'a>(
     lines: impl Iterator<Item = &'a str>,
     version: u32,
@@ -452,7 +427,7 @@ fn parse_records<'a>(
                         "fallback" if !value.is_empty() && meta.fallback.is_none() => {
                             meta.fallback = Some(value.to_string());
                         }
-                        "mix" if version >= 4 && meta.mix.is_none() => {
+                        "mix" if meta.mix.is_none() => {
                             let vals: Vec<u64> = value
                                 .split(':')
                                 .map(|f| f.parse().map_err(|_| LoadError::bad("meta mix")))
@@ -460,7 +435,7 @@ fn parse_records<'a>(
                             if vals.len() != 4 {
                                 return Err(LoadError::bad("meta mix arity"));
                             }
-                            meta.mix = Some(crate::metrics::BackendMix {
+                            meta.mix = Some(BackendMix {
                                 lock: vals[0],
                                 stm: vals[1],
                                 hle: vals[2],
@@ -508,7 +483,6 @@ fn parse_records<'a>(
                     fields
                         .next()
                         .ok_or_else(|| LoadError::bad("node metrics"))?,
-                    version,
                 )?;
                 let live = match key {
                     None => ROOT,
@@ -531,7 +505,6 @@ fn parse_records<'a>(
                     fields
                         .next()
                         .ok_or_else(|| LoadError::bad("thread totals"))?,
-                    version,
                 )?;
                 profile.threads.push(ThreadSummary {
                     tid,
@@ -556,28 +529,30 @@ fn parse_records<'a>(
                     (vals[3], vals[4]),
                 );
             }
-            Some("backend") if version >= 4 => {
+            Some("backend") => {
                 let vals: Vec<u64> = fields
                     .map(|f| f.parse().map_err(|_| LoadError::bad("backend field")))
                     .collect::<Result<_, _>>()?;
                 if vals.len() != 6 {
                     return Err(LoadError::bad("backend arity"));
                 }
+                let mix = BackendMix {
+                    lock: vals[2],
+                    stm: vals[3],
+                    hle: vals[4],
+                    switches: vals[5],
+                };
+                if mix.is_zero() {
+                    return Err(LoadError::bad("empty backend record"));
+                }
                 let site = Ip::new(FuncId(vals[0] as u32), vals[1] as u32);
-                if profile.backends.contains_key(&site) {
+                let entry = profile.site_stats.entry(site).or_default();
+                if !entry.mix.is_zero() {
                     return Err(LoadError::bad("duplicate backend record"));
                 }
-                profile.backends.insert(
-                    site,
-                    crate::metrics::BackendMix {
-                        lock: vals[2],
-                        stm: vals[3],
-                        hle: vals[4],
-                        switches: vals[5],
-                    },
-                );
+                entry.mix = mix;
             }
-            Some("hist") if version >= 5 => {
+            Some("hist") => {
                 let func: u32 = fields
                     .next()
                     .and_then(|f| f.parse().ok())
@@ -619,7 +594,7 @@ fn parse_records<'a>(
                     return Err(LoadError::bad("empty hist record"));
                 }
                 let site = Ip::new(FuncId(func), line_no);
-                let entry = profile.hists.entry(site).or_default();
+                let entry = &mut profile.site_stats.entry(site).or_default().hists;
                 let slot = match kind {
                     "tx_cycles" => &mut entry.tx_cycles,
                     "retry_depth" => &mut entry.retry_depth,
@@ -638,11 +613,7 @@ fn parse_records<'a>(
                 if vals.len() != 6 {
                     return Err(LoadError::bad("cm arity"));
                 }
-                let site = Ip::new(FuncId(vals[0] as u32), vals[1] as u32);
-                if profile.cm.contains_key(&site) {
-                    return Err(LoadError::bad("duplicate cm record"));
-                }
-                let stats = rtm_runtime::CmStats {
+                let stats = CmStats {
                     yields: vals[2],
                     stalls: vals[3],
                     escalations: vals[4],
@@ -651,7 +622,12 @@ fn parse_records<'a>(
                 if stats.is_zero() {
                     return Err(LoadError::bad("empty cm record"));
                 }
-                profile.cm.insert(site, stats);
+                let site = Ip::new(FuncId(vals[0] as u32), vals[1] as u32);
+                let entry = profile.site_stats.entry(site).or_default();
+                if !entry.cm.is_zero() {
+                    return Err(LoadError::bad("duplicate cm record"));
+                }
+                entry.cm = stats;
             }
             Some("") | None => {}
             Some(other) => return Err(LoadError::bad(other)),
@@ -894,6 +870,38 @@ mod tests {
         assert!(load(&text[..cut]).is_err(), "truncated tail must error");
         let first_node = text.find("\nnode").unwrap() + 20;
         assert!(load(&text[..first_node]).is_err());
+        // A metric record one field short is rejected, not zero-filled.
+        let chopped: String = text
+            .lines()
+            .map(|l| match l.strip_prefix("thread\t0\t") {
+                Some(_) => format!("{}\n", l.rsplit_once(' ').unwrap().0),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_eq!(load(&chopped).unwrap_err().what, "metric arity");
+    }
+
+    #[test]
+    fn save_is_independent_of_insertion_order() {
+        let sites: Vec<Ip> = (0..40).map(|n| Ip::new(FuncId(n % 7), n)).collect();
+        let build = |order: &mut dyn Iterator<Item = &Ip>| {
+            let mut p = sample_profile();
+            for site in order {
+                p.threads[0].sites.insert(*site, (site.line as u64, 1));
+                let s = p.site_stats.entry(*site).or_default();
+                s.mix.lock = 1 + site.line as u64;
+                s.hists.record_completion(10 * site.line as u64, 1, None);
+                s.cm.yields = 2;
+            }
+            p
+        };
+        let forward = save(&build(&mut sites.iter()));
+        let backward = save(&build(&mut sites.iter().rev()));
+        assert_eq!(forward, backward);
+        let forward = save_delta_with_names(&build(&mut sites.iter()), 0, 1, false, &|_| None);
+        let backward =
+            save_delta_with_names(&build(&mut sites.iter().rev()), 0, 1, false, &|_| None);
+        assert_eq!(forward, backward, "delta chunks share the writer");
     }
 
     #[test]
@@ -914,24 +922,8 @@ mod tests {
         assert!(load(&gapped).is_err());
     }
 
-    /// Rewrite every metric record down to the pre-v3 18-field arity,
-    /// emulating what a v1/v2 writer produced.
-    fn strip_stm_fields(text: &str) -> String {
-        text.lines()
-            .map(|l| {
-                if l.starts_with("node\t") || l.starts_with("thread\t") {
-                    let fields: Vec<&str> = l.rsplitn(2, '\t').collect();
-                    let vals: Vec<&str> = fields[0].split(' ').collect();
-                    format!("{}\t{}\n", fields[1], vals[..18].join(" "))
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect()
-    }
-
     #[test]
-    fn meta_roundtrips_and_v1_files_still_load() {
+    fn meta_roundtrips() {
         let mut p = sample_profile();
         p.meta = RunMeta {
             workload: Some("histo".to_string()),
@@ -943,7 +935,7 @@ mod tests {
         };
         let text = save(&p);
         assert!(text.contains("meta\tworkload=histo\tthreads=14\tperiod=1000\tfallback=stm"));
-        let q = load(&text).expect("v4 roundtrip");
+        let q = load(&text).expect("meta roundtrip");
         assert_eq!(q.meta, p.meta);
         // save∘load stays byte-stable with meta present.
         assert_eq!(save(&q), text);
@@ -960,40 +952,6 @@ mod tests {
         let bare = save(&sample_profile());
         assert!(!bare.contains("\nmeta"));
         assert!(load(&bare).unwrap().meta.is_empty());
-
-        // A headerless v1 file (what every pre-v2 run wrote) still loads,
-        // with empty provenance.
-        let v1 = strip_stm_fields(&bare.replacen("\tv6\t", "\tv1\t", 1));
-        let q = load(&v1).expect("v1 files still load");
-        assert_eq!(q.totals(), sample_profile().totals());
-        assert!(q.meta.is_empty());
-    }
-
-    #[test]
-    fn v2_files_with_18_metric_fields_still_load() {
-        // A pre-v3 writer emitted 18-field metric records; the loader must
-        // accept them with the STM sub-breakdown zero.
-        let p = sample_profile();
-        let text = strip_stm_fields(&save(&p).replacen("\tv6\t", "\tv2\t", 1));
-        let q = load(&text).expect("v2 18-field files still load");
-        let t = q.totals();
-        assert_eq!(t.w, p.totals().w);
-        assert_eq!(t.t_fb_stm, 0);
-        assert_eq!(t.aborts_validation, 0);
-        assert_eq!(t.validation_weight, 0);
-        // But a record with a nonsense arity is still rejected.
-        let chopped = text
-            .lines()
-            .map(|l| {
-                if l.starts_with("thread\t0\t") {
-                    l.rsplit_once(' ').unwrap().0.to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(load(&chopped).is_err(), "17 fields must be rejected");
     }
 
     #[test]
@@ -1039,7 +997,6 @@ mod tests {
 
     #[test]
     fn v4_mix_and_backend_records_roundtrip() {
-        use crate::metrics::BackendMix;
         let mut p = sample_profile();
         p.meta.fallback = Some("adaptive".to_string());
         p.meta.mix = Some(BackendMix {
@@ -1048,32 +1005,26 @@ mod tests {
             hle: 3,
             switches: 2,
         });
-        p.backends.insert(
-            Ip::new(FuncId(1), 42),
-            BackendMix {
-                lock: 7,
-                stm: 0,
-                hle: 0,
-                switches: 0,
-            },
-        );
-        p.backends.insert(
-            Ip::new(FuncId(9), 55),
-            BackendMix {
-                lock: 0,
-                stm: 5,
-                hle: 3,
-                switches: 2,
-            },
-        );
+        p.site_stats.entry(Ip::new(FuncId(1), 42)).or_default().mix = BackendMix {
+            lock: 7,
+            stm: 0,
+            hle: 0,
+            switches: 0,
+        };
+        p.site_stats.entry(Ip::new(FuncId(9), 55)).or_default().mix = BackendMix {
+            lock: 0,
+            stm: 5,
+            hle: 3,
+            switches: 2,
+        };
         let text = save(&p);
         assert!(text.contains("fallback=adaptive\tmix=7:5:3:2"));
         assert!(text.contains("backend\t1\t42\t7\t0\t0\t0\n"));
         assert!(text.contains("backend\t9\t55\t0\t5\t3\t2\n"));
-        let q = load(&text).expect("v4 roundtrip");
+        let q = load(&text).expect("mix roundtrip");
         assert_eq!(q.meta.mix, p.meta.mix);
-        assert_eq!(q.backends, p.backends);
-        assert_eq!(q.backend_totals().total(), 15);
+        assert_eq!(q.site_stats, p.site_stats);
+        assert_eq!(q.site_totals().mix.total(), 15);
         // save∘load stays byte-stable with mix records present.
         assert_eq!(save(&q), text);
         // Func records cover backend-only sites.
@@ -1082,60 +1033,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_files_reject_mix_and_backend_records() {
-        let mut p = sample_profile();
-        p.meta.fallback = Some("adaptive".to_string());
-        p.meta.mix = Some(crate::metrics::BackendMix {
-            lock: 1,
-            stm: 2,
-            hle: 3,
-            switches: 4,
-        });
-        p.backends
-            .insert(Ip::new(FuncId(1), 42), Default::default());
-        let text = save(&p);
-        // A file claiming v3 may not carry v4 records: strict loaders keep
-        // hand-downgraded files honest.
-        let downgraded = text.replacen("\tv6\t", "\tv3\t", 1);
-        assert!(load(&downgraded).is_err());
-        // But the same v3 file without the v4 records loads fine.
-        let cleaned: String = downgraded
-            .lines()
-            .filter(|l| !l.starts_with("backend\t"))
-            .map(|l| {
-                if l.starts_with("meta\t") {
-                    l.split('\t')
-                        .filter(|f| !f.starts_with("mix="))
-                        .collect::<Vec<_>>()
-                        .join("\t")
-                        + "\n"
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        let q = load(&cleaned).expect("v3 without v4 records loads");
-        assert_eq!(q.meta.mix, None);
-        assert!(q.backends.is_empty());
-        assert_eq!(q.meta.fallback.as_deref(), Some("adaptive"));
-    }
-
-    #[test]
     fn rejects_malformed_mix_and_backend_records() {
         let mut p = sample_profile();
-        p.meta.mix = Some(crate::metrics::BackendMix {
+        p.meta.mix = Some(BackendMix {
             lock: 1,
             stm: 2,
             hle: 3,
             switches: 4,
         });
-        p.backends.insert(
-            Ip::new(FuncId(1), 42),
-            crate::metrics::BackendMix {
-                lock: 5,
-                ..Default::default()
-            },
-        );
+        p.site_stats
+            .entry(Ip::new(FuncId(1), 42))
+            .or_default()
+            .mix
+            .lock = 5;
         let text = save(&p);
         assert!(load(&text.replace("mix=1:2:3:4", "mix=1:2:3")).is_err());
         assert!(load(&text.replace("mix=1:2:3:4", "mix=1:2:3:x")).is_err());
@@ -1145,25 +1055,21 @@ mod tests {
         assert!(load(&text.replace(backend_line, "backend\t1\t42\t5\t0\t0\tx")).is_err());
         let dup = text.replace(backend_line, &format!("{backend_line}\n{backend_line}"));
         assert!(load(&dup).is_err(), "duplicate site must be rejected");
+        // Zero means absent: an all-zero record is malformed.
+        let zero = load(&text.replace(backend_line, "backend\t1\t42\t0\t0\t0\t0"));
+        assert_eq!(zero.unwrap_err().what, "empty backend record");
     }
 
     #[test]
     fn v5_hist_records_roundtrip() {
         let mut p = sample_profile();
         let site = Ip::new(FuncId(9), 55);
-        p.hists
-            .entry(site)
-            .or_default()
-            .record_completion(100, 1, None);
-        p.hists
-            .entry(site)
-            .or_default()
-            .record_completion(9000, 7, Some(4000));
+        let h = &mut p.site_stats.entry(site).or_default().hists;
+        h.record_completion(100, 1, None);
+        h.record_completion(9000, 7, Some(4000));
         let other = Ip::new(FuncId(1), 42);
-        p.hists
-            .entry(other)
-            .or_default()
-            .record_completion(64, 2, None);
+        let h = &mut p.site_stats.entry(other).or_default().hists;
+        h.record_completion(64, 2, None);
         let text = save(&p);
         assert!(text.contains("hist\t1\t42\ttx_cycles\t1\t64\t"));
         assert!(text.contains("hist\t9\t55\tretry_depth\t2\t8\t"));
@@ -1171,16 +1077,17 @@ mod tests {
         // fb_dwell never recorded for the other site → no record at all.
         assert!(!text.contains("hist\t1\t42\tfb_dwell"));
         let q = load(&text).expect("v5 roundtrip");
-        assert_eq!(q.hists, p.hists);
-        assert_eq!(q.hists[&site].tx_cycles.count, 2);
-        assert_eq!(q.hists[&site].tx_cycles.sum, 9100);
+        assert_eq!(q.site_stats, p.site_stats);
+        assert_eq!(q.site_stats[&site].hists.tx_cycles.count, 2);
+        assert_eq!(q.site_stats[&site].hists.tx_cycles.sum, 9100);
         // save∘load stays byte-stable with hist records present.
         assert_eq!(save(&q), text);
         // Func records cover hist-only sites.
         let mut bare = sample_profile();
         bare.cct = Default::default();
         bare.threads.clear();
-        bare.hists.insert(Ip::new(FuncId(77), 1), p.hists[&site]);
+        bare.site_stats
+            .insert(Ip::new(FuncId(77), 1), p.site_stats[&site]);
         let names: FuncNames = [(77, "starved".to_string())].into_iter().collect();
         assert!(
             save_with_names(&bare, &|id| names.get(&id.0).cloned()).contains("func\t77\tstarved")
@@ -1188,36 +1095,26 @@ mod tests {
         // Hist records ride delta chunks through the shared body grammar.
         let chunk = load_delta(&save_delta_with_names(&p, 0, 3, false, &|_| None))
             .expect("delta with hists");
-        assert_eq!(chunk.profile.hists, p.hists);
+        assert_eq!(chunk.profile.site_stats, p.site_stats);
     }
 
     #[test]
-    fn pre_v5_files_reject_hist_records() {
-        let mut p = sample_profile();
-        p.hists
-            .entry(Ip::new(FuncId(9), 55))
-            .or_default()
-            .record_completion(100, 1, None);
-        let text = save(&p);
-        // A file claiming v4 may not carry v5 records.
-        let downgraded = text.replacen("\tv6\t", "\tv4\t", 1);
-        assert!(load(&downgraded).is_err());
-        // The same v4 file without the hist records loads fine.
-        let cleaned: String = downgraded
-            .lines()
-            .filter(|l| !l.starts_with("hist\t"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let q = load(&cleaned).expect("v4 without hist records loads");
-        assert!(q.hists.is_empty());
+    fn pre_v5_headers_are_rejected() {
+        let text = save(&sample_profile());
+        for old in 1..MIN_FORMAT_VERSION {
+            let downgraded = text.replacen("\tv6\t", &format!("\tv{old}\t"), 1);
+            assert_eq!(load(&downgraded).unwrap_err().what, "version", "v{old}");
+        }
+        assert!(load(&text.replacen("\tv6\t", "\tv5\t", 1)).is_ok());
     }
 
     #[test]
     fn rejects_malformed_hist_records() {
         let mut p = sample_profile();
-        p.hists
+        p.site_stats
             .entry(Ip::new(FuncId(9), 55))
             .or_default()
+            .hists
             .record_completion(2, 1, None);
         let text = save(&p);
         let line = text
@@ -1238,28 +1135,23 @@ mod tests {
 
     #[test]
     fn v6_cm_records_roundtrip() {
-        use rtm_runtime::CmStats;
         let mut p = sample_profile();
         p.meta.fallback = Some("stm".to_string());
         p.meta.cm = Some("karma".to_string());
-        p.cm.insert(
-            Ip::new(FuncId(9), 55),
-            CmStats {
-                yields: 11,
-                stalls: 4,
-                escalations: 0,
-                priority_aborts: 2,
-            },
-        );
-        p.cm.insert(
-            Ip::new(FuncId(1), 42),
-            CmStats {
-                escalations: 3,
-                ..CmStats::default()
-            },
-        );
+        p.site_stats.entry(Ip::new(FuncId(9), 55)).or_default().cm = CmStats {
+            yields: 11,
+            stalls: 4,
+            escalations: 0,
+            priority_aborts: 2,
+        };
+        p.site_stats
+            .entry(Ip::new(FuncId(1), 42))
+            .or_default()
+            .cm
+            .escalations = 3;
         // All-zero entries are skipped on save, like empty histograms.
-        p.cm.insert(Ip::new(FuncId(2), 1), CmStats::default());
+        p.site_stats
+            .insert(Ip::new(FuncId(2), 1), Default::default());
         let text = save(&p);
         assert!(text.contains("fallback=stm\tcm=karma"));
         assert!(text.contains("cm\t1\t42\t0\t0\t3\t0\n"));
@@ -1267,21 +1159,19 @@ mod tests {
         assert!(!text.contains("cm\t2\t1\t"));
         let q = load(&text).expect("v6 roundtrip");
         assert_eq!(q.meta.cm.as_deref(), Some("karma"));
-        assert_eq!(q.cm[&Ip::new(FuncId(9), 55)].yields, 11);
-        assert_eq!(q.cm_totals().total(), 20);
+        assert_eq!(q.site_stats[&Ip::new(FuncId(9), 55)].cm.yields, 11);
+        assert_eq!(q.site_totals().cm.total(), 20);
         // save∘load stays byte-stable with cm records present.
         assert_eq!(save(&q), text);
         // Func records cover cm-only sites.
         let mut bare = sample_profile();
         bare.cct = Default::default();
         bare.threads.clear();
-        bare.cm.insert(
-            Ip::new(FuncId(88), 1),
-            CmStats {
-                yields: 1,
-                ..CmStats::default()
-            },
-        );
+        bare.site_stats
+            .entry(Ip::new(FuncId(88), 1))
+            .or_default()
+            .cm
+            .yields = 1;
         let names: FuncNames = [(88, "writer".to_string())].into_iter().collect();
         assert!(
             save_with_names(&bare, &|id| names.get(&id.0).cloned()).contains("func\t88\twriter")
@@ -1289,7 +1179,7 @@ mod tests {
         // Cm records ride delta chunks through the shared body grammar.
         let chunk =
             load_delta(&save_delta_with_names(&p, 0, 3, false, &|_| None)).expect("delta with cm");
-        assert_eq!(chunk.profile.cm.len(), 2, "zero entry dropped");
+        assert_eq!(chunk.profile.site_stats.len(), 2, "zero entry dropped");
         assert_eq!(chunk.profile.meta.cm.as_deref(), Some("karma"));
     }
 
@@ -1298,13 +1188,11 @@ mod tests {
         let mut p = sample_profile();
         p.meta.fallback = Some("stm".to_string());
         p.meta.cm = Some("escalate".to_string());
-        p.cm.insert(
-            Ip::new(FuncId(9), 55),
-            rtm_runtime::CmStats {
-                escalations: 7,
-                ..Default::default()
-            },
-        );
+        p.site_stats
+            .entry(Ip::new(FuncId(9), 55))
+            .or_default()
+            .cm
+            .escalations = 7;
         let text = save(&p);
         // A file claiming v5 may not carry v6 records or the cm= meta key.
         let downgraded = text.replacen("\tv6\t", "\tv5\t", 1);
@@ -1326,7 +1214,7 @@ mod tests {
             })
             .collect();
         let q = load(&cleaned).expect("v5 without cm records loads");
-        assert!(q.cm.is_empty());
+        assert!(q.site_stats.is_empty());
         assert_eq!(q.meta.cm, None);
     }
 
@@ -1334,13 +1222,11 @@ mod tests {
     fn rejects_malformed_cm_records() {
         let mut p = sample_profile();
         p.meta.cm = Some("karma".to_string());
-        p.cm.insert(
-            Ip::new(FuncId(9), 55),
-            rtm_runtime::CmStats {
-                yields: 5,
-                ..Default::default()
-            },
-        );
+        p.site_stats
+            .entry(Ip::new(FuncId(9), 55))
+            .or_default()
+            .cm
+            .yields = 5;
         let text = save(&p);
         let line = "cm\t9\t55\t5\t0\t0\t0";
         assert!(load(&text.replace(line, "cm\t9\t55\t5\t0\t0")).is_err());

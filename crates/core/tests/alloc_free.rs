@@ -2,7 +2,9 @@
 //! once the collector's reusable buffers and per-site tables have warmed
 //! up, `Collector::on_sample` performs **zero heap allocations** — for
 //! cycles samples (with and without in-transaction LBR reconstruction),
-//! commit samples, abort samples, and memory samples alike.
+//! commit samples, abort samples, and memory samples alike. The same holds
+//! for the runtime side of a profiled thread: its per-site ledger's
+//! completion, CM and mix booking hooks.
 //!
 //! Lives in its own integration-test binary because the counting global
 //! allocator is process-wide: sharing a process with other tests would make
@@ -10,11 +12,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtm_runtime::ThreadState;
+use rtm_runtime::{CmEvent, FallbackKind, ThreadState, TmLib};
 use txsampler::{Collector, ContentionMap};
+use txsim_htm::HtmDomain;
 use txsim_mem::CacheGeometry;
 use txsim_pmu::{
     AbortClass, BranchKind, EventKind, Frame, FuncId, Ip, LbrEntry, Sample, SampleSink,
@@ -22,25 +24,46 @@ use txsim_pmu::{
 };
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator — but only on threads that opted in via `TRACK`. Frees are
-/// irrelevant: the fast path must not *acquire* memory. The thread gate
-/// matters because the allocator is process-wide: the libtest harness's
-/// main thread prints progress concurrently with the measured loop, and
-/// under load its allocations would land inside the window. The TLS cell
-/// is const-initialized, so reading it never allocates (no recursion).
+/// allocator — but only on threads that opted in via `TRACK`, and per
+/// thread. Frees are irrelevant: the fast path must not *acquire* memory.
+/// The thread gate matters because the allocator is process-wide: the
+/// libtest harness's main thread prints progress concurrently with the
+/// measured loop, and the other test of this binary runs alongside. The
+/// TLS cells are const-initialized, so touching them never allocates (no
+/// recursion).
 struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TRACK: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    if TRACK.with(Cell::get) {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+    }
+}
+
+/// Allocations this thread made while tracked.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Start counting this thread's allocations, after proving the counter
+/// observes it (a real allocation must register).
+fn start_tracking() {
+    TRACK.with(|t| t.set(true));
+    let canary = allocs();
+    std::hint::black_box(Vec::<u64>::with_capacity(8));
+    assert!(
+        allocs() > canary,
+        "counting allocator is not observing this thread"
+    );
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACK.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -49,9 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACK.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -167,24 +188,15 @@ fn steady_state_sample_path_is_allocation_free() {
     }
 
     // Measure: replaying the same contexts must not allocate at all.
-    // Sanity-check the counter is live on this thread first — a warm-up
-    // that also proves a real allocation would be caught.
-    TRACK.with(|t| t.set(true));
-    let canary = ALLOCS.load(Ordering::Relaxed);
-    std::hint::black_box(Vec::<u64>::with_capacity(8));
-    assert!(
-        ALLOCS.load(Ordering::Relaxed) > canary,
-        "counting allocator is not observing this thread"
-    );
-
-    let before = ALLOCS.load(Ordering::Relaxed);
+    start_tracking();
+    let before = allocs();
     for round in 0..50u64 {
         for (sample, frames) in &workload {
             collector.on_sample(sample, frames);
             let _ = round;
         }
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = allocs() - before;
     TRACK.with(|t| t.set(false));
     assert_eq!(
         during, 0,
@@ -196,4 +208,102 @@ fn steady_state_sample_path_is_allocation_free() {
     let profile = handle.take();
     assert_eq!(profile.samples, 53 * workload.len() as u64);
     assert!(profile.cct.len() > 1);
+}
+
+/// Run a profiled-thread workload on a fresh adaptive domain: one site
+/// commits in HTM, the other aborts on a syscall every time and completes
+/// through the adaptive dispatcher (which books its mix). Returns the
+/// allocations the measured rounds made (after a warm-up) and the drained
+/// ledger.
+fn runtime_rounds(ledger: bool) -> (u64, Vec<(Ip, rtm_runtime::SiteStats)>) {
+    let domain = HtmDomain::with_defaults();
+    let lib = TmLib::with_backend(&domain, FallbackKind::Adaptive);
+    let counter = domain.heap.alloc_words(1);
+    let mut cpu = domain.spawn_cpu(SamplingConfig::disabled());
+    let mut tm = lib.thread();
+    if ledger {
+        tm.enable_ledger();
+    }
+    let mut round = || {
+        tm.critical_section(&mut cpu, 10, |cpu| {
+            cpu.rmw(11, counter, |v| v + 1)?;
+            Ok(())
+        });
+        tm.critical_section(&mut cpu, 20, |cpu| {
+            cpu.syscall(21)?;
+            cpu.rmw(22, counter, |v| v + 1)?;
+            Ok(())
+        });
+    };
+    for _ in 0..20 {
+        round();
+    }
+    start_tracking();
+    let before = allocs();
+    for _ in 0..200 {
+        round();
+    }
+    let during = allocs() - before;
+    TRACK.with(|t| t.set(false));
+    (during, tm.ledger.take_delta())
+}
+
+#[test]
+fn steady_state_ledger_hooks_are_allocation_free() {
+    // The hooks themselves, on a full ledger: completion records, CM
+    // bookings and mix bookings never allocate — neither for seated sites
+    // nor for sites that overflow (those are counted instead).
+    let mut ledger = rtm_runtime::SiteLedger::new();
+    let capacity = rtm_runtime::SITE_CAPACITY as u32;
+    let sites: Vec<Ip> = (0..capacity + 8)
+        .map(|n| Ip::new(FuncId(100 + n), 1))
+        .collect();
+    let book = |ledger: &mut rtm_runtime::SiteLedger, i: u64| {
+        for site in &sites {
+            ledger.record_completion(*site, 100 * i, 1 + i as u32 % 5, Some(i));
+            ledger.book_cm(*site, CmEvent::Stall);
+            ledger.book_mix(*site, FallbackKind::Stm, i.is_multiple_of(7));
+        }
+    };
+    book(&mut ledger, 0);
+    start_tracking();
+    let before = allocs();
+    for i in 0..50 {
+        book(&mut ledger, i);
+    }
+    let during = allocs() - before;
+    TRACK.with(|t| t.set(false));
+    assert_eq!(
+        during, 0,
+        "steady-state ledger hooks performed {during} heap allocations"
+    );
+    assert_eq!(
+        ledger.overflowed(),
+        51 * 8 * 3,
+        "every dropped record counted"
+    );
+    assert_eq!(ledger.take_delta().len(), capacity as usize);
+
+    // Inside the runtime: a profiled thread (live ledger) makes exactly
+    // the allocations an unprofiled one does — the simulator's own — so
+    // the completion and mix-booking hooks on its path add none.
+    let (plain, empty) = runtime_rounds(false);
+    let (profiled, delta) = runtime_rounds(true);
+    assert!(empty.is_empty(), "detached ledger records nothing");
+    assert_eq!(
+        profiled,
+        plain,
+        "the live ledger added {} heap allocations",
+        profiled as i64 - plain as i64
+    );
+    // Sanity: the hooks recorded into one record per site.
+    assert_eq!(delta.len(), 2);
+    let completions: u64 = delta.iter().map(|(_, s)| s.hists.tx_cycles.count).sum();
+    assert_eq!(completions, 2 * 220);
+    let fallbacks: u64 = delta
+        .iter()
+        .filter(|(site, _)| site.line == 20)
+        .map(|(_, s)| s.mix.total())
+        .sum();
+    assert_eq!(fallbacks, 220, "every syscall section fell back");
 }

@@ -1,14 +1,16 @@
 //! Differential test: the arena-backed [`txsampler::Cct`] and the old
-//! HashMap-per-node reference implementation
-//! ([`txsampler::cct_ref::HashCct`]) must be observationally identical on
-//! randomized key sequences — same node counts, same path resolution, same
-//! metrics after merge, same preorder node set. Node *ids* may differ
+//! HashMap-per-node reference implementation (`support::HashCct`) must be
+//! observationally identical on randomized key sequences — same node
+//! counts, same path resolution, same metrics after merge, same preorder
+//! node set. Node *ids* may differ
 //! between the two (both assign in creation order, which the random driver
 //! makes identical here, but the comparison deliberately goes through
 //! canonical path strings rather than raw ids).
 
+mod support;
+
+use support::HashCct;
 use txsampler::cct::{Cct, NodeKey, ROOT};
-use txsampler::cct_ref::HashCct;
 use txsim_pmu::{FuncId, Ip};
 
 /// SplitMix64 (same generator the workspace uses elsewhere for

@@ -179,6 +179,9 @@ pub struct RunOutcome {
     pub funcs: FuncRegistry,
     /// Workload-specific correctness checksum.
     pub checksum: u64,
+    /// Per-site ledger records dropped because a thread's ledger was full,
+    /// summed over threads (always zero for unprofiled runs).
+    pub ledger_overflow: u64,
 }
 
 impl RunOutcome {
@@ -239,6 +242,7 @@ pub fn run_workload<S: Sync>(
         truth: Truth,
         stats: CpuStats,
         profile: Option<txsampler::ThreadProfile>,
+        ledger_overflow: u64,
     }
 
     let started = Instant::now();
@@ -259,9 +263,9 @@ pub fn run_workload<S: Sync>(
                     let mut cpu = domain.spawn_cpu(cfg.sampling.clone());
                     let mut tm = lib.thread();
                     if cfg.profile {
-                        // Latency/retry histograms ride the profile; native
-                        // runs keep the detached (single-branch) table.
-                        tm.enable_hists();
+                        // The per-site ledger rides the profile; native
+                        // runs keep the detached (single-branch) one.
+                        tm.enable_ledger();
                     }
                     let handle = if cfg.profile {
                         Some(txsampler::attach_with_hub(
@@ -291,23 +295,11 @@ pub fn run_workload<S: Sync>(
                     worker.cpu.flush_sink();
                     let mut profile = handle.map(|h| h.take());
                     if let Some(p) = &mut profile {
-                        // Fold the runtime's per-site backend bookkeeping into
-                        // the thread profile so both the post-mortem merge and
-                        // the hub's residual publish carry the backend mix.
-                        for snap in worker.tm.sites.take_delta() {
-                            let mix = p.backend_mix(snap.site);
-                            mix.lock += snap.fb_lock;
-                            mix.stm += snap.fb_stm;
-                            mix.hle += snap.fb_hle;
-                            mix.switches += snap.switches;
-                        }
-                        // Same for the per-site latency/retry histograms.
-                        for (site, h) in worker.tm.hists.take_delta() {
-                            p.site_hists(site).merge(&h);
-                        }
-                        // And the contention-management interventions.
-                        for (site, s) in worker.tm.cm_stats.take_delta() {
-                            p.cm_stats(site).merge(&s);
+                        // Fold the runtime's per-site ledger into the thread
+                        // profile so both the post-mortem merge and the hub's
+                        // residual publish carry it.
+                        for (site, s) in worker.tm.ledger.take_delta() {
+                            p.site_stats_mut(site).merge(&s);
                         }
                     }
                     WorkerResult {
@@ -315,6 +307,7 @@ pub fn run_workload<S: Sync>(
                         truth: worker.tm.truth,
                         stats: *worker.cpu.stats(),
                         profile,
+                        ledger_overflow: worker.tm.ledger.overflowed(),
                     }
                 })
             })
@@ -330,12 +323,14 @@ pub fn run_workload<S: Sync>(
     let mut stats = CpuStats::default();
     let mut makespan = 0;
     let mut total_cycles = 0;
+    let mut ledger_overflow = 0;
     let mut thread_profiles = Vec::new();
     for r in results {
         truth.merge(&r.truth);
         stats = sum_stats(stats, &r.stats);
         makespan = makespan.max(r.cycles);
         total_cycles += r.cycles;
+        ledger_overflow += r.ledger_overflow;
         if let Some(p) = r.profile {
             thread_profiles.push(p);
         }
@@ -397,6 +392,7 @@ pub fn run_workload<S: Sync>(
         profile,
         funcs: domain.funcs.clone(),
         checksum,
+        ledger_overflow,
     }
 }
 

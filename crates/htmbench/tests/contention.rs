@@ -34,9 +34,10 @@ fn writer_p99_bucket(out: &RunOutcome) -> usize {
     out.profile
         .as_ref()
         .expect("profiling enabled")
-        .hists
+        .site_stats
         .get(&site)
         .expect("writer site has hists")
+        .hists
         .retry_depth
         .percentile_bucket(0.99)
         .expect("writer recorded retries")
@@ -68,7 +69,7 @@ fn karma_rescues_the_starved_writer_by_two_log_buckets() {
          backoff bucket {before}, karma bucket {after}"
     );
     // The karma run actually intervened, and attributed it to real sites.
-    let cm = karma.profile.as_ref().unwrap().cm_totals();
+    let cm = karma.profile.as_ref().unwrap().site_totals().cm;
     assert!(cm.yields > 0, "hammers must yield to the writer: {cm:?}");
     assert_eq!(
         karma.profile.as_ref().unwrap().meta.cm.as_deref(),
@@ -143,7 +144,7 @@ fn escalate_bounds_worst_case_retries_at_k() {
         t.aborts_validation <= k * t.fallbacks,
         "escalate must bound STM retries at K={k}: {t:?}"
     );
-    let cm = out.profile.as_ref().unwrap().cm_totals();
+    let cm = out.profile.as_ref().unwrap().site_totals().cm;
     assert!(
         cm.escalations > 0,
         "the starved writer must escalate at least once: {cm:?}"
@@ -154,9 +155,10 @@ fn escalate_bounds_worst_case_retries_at_k() {
         .profile
         .as_ref()
         .unwrap()
-        .hists
+        .site_stats
         .get(&writer_site(&out))
         .unwrap()
+        .hists
         .retry_depth
         .percentile(0.99)
         .unwrap();

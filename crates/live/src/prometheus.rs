@@ -236,10 +236,11 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "counter",
         "Per-site fallback backend switches performed by the adaptive runtime.",
     );
+    let totals = view.profile.site_totals();
     let _ = writeln!(
         out,
         "txsampler_backend_switches_total {}",
-        view.profile.backend_totals().switches
+        totals.mix.switches
     );
 
     family(
@@ -248,9 +249,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "gauge",
         "Currently dominant fallback flavor per abort site (1 = this site's fallbacks run on this backend).",
     );
-    let mut sites: Vec<_> = view.profile.backends.iter().collect();
-    sites.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
-    for (ip, mix) in sites {
+    for (ip, mix) in view.profile.sites_with(|s| &s.mix) {
         if let Some(flavor) = mix.choice() {
             let _ = writeln!(
                 out,
@@ -266,7 +265,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "counter",
         "Contention-manager interventions by kind (zero when no CM ran).",
     );
-    let cm = view.profile.cm_totals();
+    let cm = totals.cm;
     for (kind, n) in [
         ("yield", cm.yields),
         ("stall", cm.stalls),
@@ -285,9 +284,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
         "counter",
         "Contention-manager interventions per abort site and kind (nonzero entries only).",
     );
-    let mut cm_sites: Vec<_> = view.profile.cm.iter().collect();
-    cm_sites.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
-    for (ip, s) in cm_sites {
+    for (ip, s) in view.profile.sites_with(|s| &s.cm) {
         let site = format!("{}:{}", ip.func.0, ip.line);
         for (kind, n) in [
             ("yield", s.yields),
@@ -308,8 +305,7 @@ pub fn render(view: &SnapshotView, window: Option<&Metrics>, obs: &Snapshot) -> 
     // buckets render as cumulative `le` bounds `2^(i+1)-1`; the catch-all
     // top bucket has no finite upper bound, so it folds into `+Inf` (whose
     // count therefore always equals `_count`, as Prometheus requires).
-    let mut hist_sites: Vec<_> = view.profile.hists.iter().collect();
-    hist_sites.sort_by_key(|(ip, _)| (ip.func.0, ip.line));
+    let hist_sites = view.profile.sites_with(|s| &s.hists);
     type Component = fn(&SiteHists) -> &Hist32;
     let families: [(&str, &str, Component); 2] = [
         (
@@ -456,11 +452,12 @@ mod tests {
     #[test]
     fn backend_metrics_render_choice_and_switches() {
         let mut view = sample_view();
-        let m = view
+        let m = &mut view
             .profile
-            .backends
+            .site_stats
             .entry(Ip::new(FuncId(1), 21))
-            .or_default();
+            .or_default()
+            .mix;
         m.stm = 5;
         m.lock = 1;
         m.switches = 2;
@@ -483,7 +480,7 @@ mod tests {
             h.record_completion(100, 1, None); // bucket 6 (le 127)
         }
         h.record_completion(5000, 7, Some(3000)); // bucket 12 (le 8191)
-        view.profile.hists.insert(site, h);
+        view.profile.site_stats.entry(site).or_default().hists = h;
         let text = render(&view, None, &Registry::new().snapshot());
 
         // Walk the tx-cycles family for our site: le values must be
@@ -529,7 +526,12 @@ mod tests {
     #[test]
     fn cm_families_render_totals_and_per_site_breakdown() {
         let mut view = sample_view();
-        let s = view.profile.cm.entry(Ip::new(FuncId(1), 4)).or_default();
+        let s = &mut view
+            .profile
+            .site_stats
+            .entry(Ip::new(FuncId(1), 4))
+            .or_default()
+            .cm;
         s.yields = 7;
         s.escalations = 2;
         let text = render(&view, None, &Registry::new().snapshot());

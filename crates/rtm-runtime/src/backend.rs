@@ -312,7 +312,7 @@ impl FallbackBackend for Tl2Stm {
             // window: an outranked transaction spends its politeness window
             // here instead of racing a starving peer's validation.
             if let Some(iv) = self.cm.on_begin(cpu, line, &mut tm.cm_tx) {
-                tm.cm_stats.note(site, CmEvent::from(iv));
+                tm.ledger.book_cm(site, CmEvent::from(iv));
             }
             let rv = tl2.begin(cpu, line);
             tm.state.set(IN_CS | IN_FALLBACK | IN_STM);
@@ -352,12 +352,12 @@ impl FallbackBackend for Tl2Stm {
                             ),
                         };
                         if res.priority_abort {
-                            tm.cm_stats.note(site, CmEvent::PriorityAbort);
+                            tm.ledger.book_cm(site, CmEvent::PriorityAbort);
                         }
                         match res.decision {
                             CmDecision::Backoff => tl2.backoff(cpu, line, attempt),
                             CmDecision::Stall { spins } => {
-                                tm.cm_stats.note(site, CmEvent::Stall);
+                                tm.ledger.book_cm(site, CmEvent::Stall);
                                 for _ in 0..spins {
                                     cpu.spin(line).expect("spin outside tx cannot abort");
                                 }
@@ -365,7 +365,7 @@ impl FallbackBackend for Tl2Stm {
                             CmDecision::Escalate => {
                                 // Forced commit: give up on optimism and
                                 // take the exclusive gate below.
-                                tm.cm_stats.note(site, CmEvent::Escalation);
+                                tm.ledger.book_cm(site, CmEvent::Escalation);
                                 break;
                             }
                         }
@@ -460,7 +460,8 @@ impl FallbackBackend for AdaptiveBackend {
             FallbackKind::Hle => self.hle.execute(tm, cpu, line, lock, site, body),
             FallbackKind::Adaptive => unreachable!("per-site choice is always concrete"),
         };
-        tm.sites.note_fallback(site, flavor);
+        tm.sites.note_fallback(site);
+        tm.ledger.book_mix(site, flavor, switched);
         v
     }
 }

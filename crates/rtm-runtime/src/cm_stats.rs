@@ -2,19 +2,12 @@
 //!
 //! Every intervention a [`txstm::cm::ContentionManager`] makes — a yield at
 //! begin, a stall instead of backoff, an escalation to the exclusive gate, a
-//! priority abort — is booked here against the critical-section site that
-//! paid for it. The table is thread-private (the runtime's usual rule: the
-//! hot path writes no shared cache line) and drained by profiling harnesses
-//! via [`CmTable::take_delta`], exactly like the site histograms.
-//!
+//! priority abort — is counted against the critical-section site that paid
+//! for it, in the `cm` component of that site's [`crate::SiteStats`]. Like
+//! the rest of the record it lives in the thread's private
+//! [`crate::SiteLedger`] and is drained by profiling harnesses.
 //! Interventions only happen on the contended slow path (a failed commit or
-//! a non-empty karma board), so unlike [`crate::HistTable`] this table does
-//! not need a fixed-capacity open-addressed layout: a plain map is fine —
-//! an uncontended run never touches it at all.
-
-use std::collections::HashMap;
-
-use txsim_htm::Ip;
+//! a non-empty karma board), so an uncontended run never books one.
 
 /// Contention-management interventions at one site. The counters mirror the
 /// [`txstm::cm`] hook contract: `yields` and `stalls` are waiting the policy
@@ -54,16 +47,6 @@ impl CmStats {
         self.priority_aborts += other.priority_aborts;
     }
 
-    /// Saturating per-field difference (epoch-delta export).
-    pub fn minus(&self, older: &CmStats) -> CmStats {
-        CmStats {
-            yields: self.yields.saturating_sub(older.yields),
-            stalls: self.stalls.saturating_sub(older.stalls),
-            escalations: self.escalations.saturating_sub(older.escalations),
-            priority_aborts: self.priority_aborts.saturating_sub(older.priority_aborts),
-        }
-    }
-
     /// Book one event.
     pub fn note(&mut self, event: CmEvent) {
         match event {
@@ -97,73 +80,28 @@ impl From<txstm::cm::CmIntervention> for CmEvent {
     }
 }
 
-/// Thread-private per-site CM counter table.
-#[derive(Debug, Default)]
-pub struct CmTable {
-    sites: HashMap<Ip, CmStats>,
-}
-
-impl CmTable {
-    /// An empty table.
-    pub fn new() -> CmTable {
-        CmTable::default()
-    }
-
-    /// Book `event` against `site`.
-    pub fn note(&mut self, site: Ip, event: CmEvent) {
-        self.sites.entry(site).or_default().note(event);
-    }
-
-    /// This site's counters, if any intervention was booked there.
-    pub fn get(&self, site: Ip) -> Option<&CmStats> {
-        self.sites.get(&site)
-    }
-
-    /// Whether any intervention was booked at all.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
-    /// Drain everything accumulated since the last call (the harness folds
-    /// the delta into the run profile).
-    pub fn take_delta(&mut self) -> Vec<(Ip, CmStats)> {
-        self.sites.drain().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn site(line: u32) -> Ip {
-        Ip::new(txsim_htm::FuncId(7), line)
-    }
-
     #[test]
-    fn note_merge_minus_round_trip() {
-        let mut t = CmTable::new();
-        assert!(t.is_empty());
-        t.note(site(1), CmEvent::Yield);
-        t.note(site(1), CmEvent::Stall);
-        t.note(site(1), CmEvent::Stall);
-        t.note(site(2), CmEvent::Escalation);
-        t.note(site(2), CmEvent::PriorityAbort);
-        let s1 = *t.get(site(1)).unwrap();
-        assert_eq!((s1.yields, s1.stalls), (1, 2));
-        assert_eq!(s1.total(), 3);
-
-        let mut merged = CmStats::default();
-        for (_, s) in t.take_delta() {
-            merged.merge(&s);
+    fn note_and_merge_count_every_kind() {
+        let mut a = CmStats::default();
+        assert!(a.is_zero());
+        for e in [
+            CmEvent::Yield,
+            CmEvent::Stall,
+            CmEvent::Stall,
+            CmEvent::Escalation,
+            CmEvent::PriorityAbort,
+        ] {
+            a.note(e);
         }
-        assert!(t.is_empty(), "take_delta drains");
-        assert_eq!(merged.total(), 5);
-        let older = CmStats {
-            yields: 1,
-            ..CmStats::default()
-        };
-        assert_eq!(merged.minus(&older).yields, 0);
-        assert_eq!(merged.minus(&older).stalls, 2);
-        assert!(CmStats::default().is_zero());
+        assert_eq!((a.yields, a.stalls), (1, 2));
+        assert_eq!(a.total(), 5);
+        let mut merged = a;
+        merged.merge(&a);
+        assert_eq!(merged.total(), 10);
+        assert_eq!(merged.escalations, 2);
     }
 }

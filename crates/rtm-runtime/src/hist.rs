@@ -8,7 +8,9 @@
 //! `u64` arrays, no allocation after construction, and purely additive
 //! merge semantics so per-thread histograms ride the same delta pipeline
 //! as every other metric (thread delta → profile absorb → epoch delta →
-//! fleet merge).
+//! fleet merge). The runtime records them per site in the thread's
+//! [`crate::SiteLedger`], as the `hists` component of a
+//! [`crate::SiteStats`].
 //!
 //! Bucket math: value `v` lands in bucket `floor(log2(v))` (clamped to
 //! bucket 0 for `v <= 1` and bucket 31 for `v >= 2^31`), so bucket `i`
@@ -18,22 +20,13 @@
 //! exact for the bucket boundary and never understates the tail (except
 //! in the final catch-all bucket, which is unbounded above).
 
-use txsim_pmu::Ip;
-
-use obs::Counter;
-
 /// Number of power-of-two buckets in a [`Hist32`].
 pub const HIST_BUCKETS: usize = 32;
 
-/// Per-site histogram slots a [`HistTable`] holds (thread-private; sites
-/// beyond the capacity are dropped rather than allocated for).
-pub const HIST_SITE_CAPACITY: usize = 64;
-
 /// A fixed-size log-bucketed histogram: 32 power-of-two buckets plus the
 /// exact sum and count of recorded values. All fields are monotone `u64`s,
-/// so two histograms merge by plain addition and a delta is a saturating
-/// per-field subtraction — the same contract every other profile metric
-/// follows.
+/// so two histograms merge by plain addition — the same contract every
+/// other profile metric follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Hist32 {
     /// Bucket `i` counts values in `[2^i, 2^(i+1) - 1]` (bucket 0 also
@@ -83,18 +76,6 @@ impl Hist32 {
         }
         self.sum += other.sum;
         self.count += other.count;
-    }
-
-    /// Saturating per-field difference `self - other` (for epoch windows
-    /// and diffs of cumulative histograms).
-    pub fn minus(&self, other: &Hist32) -> Hist32 {
-        let mut out = Hist32::default();
-        for (i, o) in out.buckets.iter_mut().enumerate() {
-            *o = self.buckets[i].saturating_sub(other.buckets[i]);
-        }
-        out.sum = self.sum.saturating_sub(other.sum);
-        out.count = self.count.saturating_sub(other.count);
-        out
     }
 
     /// Index of the bucket containing the `q`-quantile (`0.0 < q <= 1.0`):
@@ -161,15 +142,6 @@ impl SiteHists {
         self.fb_dwell.merge(&other.fb_dwell);
     }
 
-    /// Saturating difference of all three histograms.
-    pub fn minus(&self, other: &SiteHists) -> SiteHists {
-        SiteHists {
-            tx_cycles: self.tx_cycles.minus(&other.tx_cycles),
-            retry_depth: self.retry_depth.minus(&other.retry_depth),
-            fb_dwell: self.fb_dwell.minus(&other.fb_dwell),
-        }
-    }
-
     /// Record one completed critical section.
     pub fn record_completion(&mut self, duration: u64, attempts: u32, fb_dwell: Option<u64>) {
         self.tx_cycles.record(duration);
@@ -180,111 +152,9 @@ impl SiteHists {
     }
 }
 
-struct HistSlot {
-    site: Ip,
-    used: bool,
-    hists: SiteHists,
-}
-
-/// Thread-private per-site histogram table: fixed capacity, open-addressed,
-/// no allocation after construction, no shared-cacheline writes on the
-/// record path. The detached variant has zero capacity, so every hook in
-/// the runtime's hot loop costs exactly one branch when histogram
-/// collection is off — the same zero-cost-when-unused contract the
-/// adaptive [`crate::SiteTable`] established.
-pub struct HistTable {
-    slots: Vec<HistSlot>,
-}
-
-impl HistTable {
-    /// A live table with [`HIST_SITE_CAPACITY`] slots.
-    pub fn new() -> HistTable {
-        HistTable {
-            slots: (0..HIST_SITE_CAPACITY)
-                .map(|_| HistSlot {
-                    site: Ip::UNKNOWN,
-                    used: false,
-                    hists: SiteHists::default(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The zero-capacity table handed out when histogram collection is
-    /// detached: `record` returns after one branch.
-    pub fn detached() -> HistTable {
-        HistTable { slots: Vec::new() }
-    }
-
-    /// Whether this table records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
-    fn slot_for(&mut self, site: Ip) -> Option<usize> {
-        let cap = self.slots.len();
-        let mut idx = ((site.func.0 as u64)
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(site.line as u64) as usize)
-            % cap;
-        for _ in 0..cap {
-            let slot = &mut self.slots[idx];
-            if !slot.used {
-                slot.used = true;
-                slot.site = site;
-                return Some(idx);
-            }
-            if slot.site == site {
-                return Some(idx);
-            }
-            idx = (idx + 1) % cap;
-        }
-        // Table full: drop the record rather than allocate. A workload
-        // with more than HIST_SITE_CAPACITY distinct transaction sites
-        // loses distribution data for the overflow sites only.
-        None
-    }
-
-    /// Record one completed critical section at `site`. No-op (one branch)
-    /// when detached; silently drops when the site table is full.
-    #[inline]
-    pub fn record(&mut self, site: Ip, duration: u64, attempts: u32, fb_dwell: Option<u64>) {
-        if self.slots.is_empty() {
-            return;
-        }
-        if let Some(idx) = self.slot_for(site) {
-            self.slots[idx]
-                .hists
-                .record_completion(duration, attempts, fb_dwell);
-            obs::count(Counter::RtmHistStores);
-        }
-    }
-
-    /// Drain the recorded histograms: returns every non-empty site's
-    /// [`SiteHists`] and zeroes the table's contents (slot registrations
-    /// are kept so re-recording needs no re-probing).
-    pub fn take_delta(&mut self) -> Vec<(Ip, SiteHists)> {
-        let mut out = Vec::new();
-        for slot in &mut self.slots {
-            if slot.used && !slot.hists.is_zero() {
-                out.push((slot.site, std::mem::take(&mut slot.hists)));
-            }
-        }
-        out
-    }
-}
-
-impl Default for HistTable {
-    fn default() -> Self {
-        HistTable::detached()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txsim_pmu::FuncId;
-
     #[test]
     fn bucket_index_is_floor_log2_clamped() {
         assert_eq!(Hist32::bucket_index(0), 0);
@@ -313,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn record_merge_minus_are_consistent() {
+    fn record_and_merge_are_consistent() {
         let mut a = Hist32::default();
         for v in [1, 2, 3, 100, 5000] {
             a.record(v);
@@ -326,8 +196,6 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.count, 6);
         assert_eq!(merged.sum, 5113);
-        // merged - b == a, field for field.
-        assert_eq!(merged.minus(&b), a);
         assert!(Hist32::default().is_zero());
         assert!(!a.is_zero());
     }
@@ -361,46 +229,5 @@ mod tests {
         assert_eq!(s.retry_depth.sum, 8);
         assert_eq!(s.fb_dwell.count, 1, "dwell only for fallback completions");
         assert_eq!(s.fb_dwell.sum, 4000);
-    }
-
-    #[test]
-    fn detached_table_records_nothing() {
-        let mut t = HistTable::detached();
-        assert!(!t.is_enabled());
-        t.record(Ip::new(FuncId(1), 2), 100, 1, None);
-        assert!(t.take_delta().is_empty());
-    }
-
-    #[test]
-    fn table_accumulates_per_site_and_drains() {
-        let mut t = HistTable::new();
-        assert!(t.is_enabled());
-        let a = Ip::new(FuncId(1), 10);
-        let b = Ip::new(FuncId(2), 20);
-        t.record(a, 100, 1, None);
-        t.record(a, 200, 3, Some(50));
-        t.record(b, 300, 1, None);
-        let mut delta = t.take_delta();
-        delta.sort_by_key(|(site, _)| (site.func.0, site.line));
-        assert_eq!(delta.len(), 2);
-        assert_eq!(delta[0].0, a);
-        assert_eq!(delta[0].1.tx_cycles.count, 2);
-        assert_eq!(delta[0].1.fb_dwell.count, 1);
-        assert_eq!(delta[1].0, b);
-        assert_eq!(delta[1].1.tx_cycles.count, 1);
-        // Drained: a second take is empty until new records arrive.
-        assert!(t.take_delta().is_empty());
-        t.record(a, 400, 2, None);
-        assert_eq!(t.take_delta().len(), 1);
-    }
-
-    #[test]
-    fn table_overflow_drops_instead_of_allocating() {
-        let mut t = HistTable::new();
-        for i in 0..(HIST_SITE_CAPACITY as u32 + 8) {
-            t.record(Ip::new(FuncId(i), 1), 10, 1, None);
-        }
-        let delta = t.take_delta();
-        assert_eq!(delta.len(), HIST_SITE_CAPACITY, "capacity bounds the table");
     }
 }

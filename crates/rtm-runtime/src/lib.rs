@@ -36,7 +36,9 @@ pub mod backend;
 pub mod cm_stats;
 pub mod hist;
 pub mod hle;
+pub mod ledger;
 pub mod sites;
+pub mod slots;
 pub mod state;
 pub mod truth;
 
@@ -52,10 +54,12 @@ pub use backend::{
     AdaptiveBackend, Backend, FallbackBackend, FallbackKind, GlobalLock, SingleGlobalLockElided,
     Tl2Stm, GATE_EXCLUSIVE,
 };
-pub use cm_stats::{CmEvent, CmStats, CmTable};
-pub use hist::{Hist32, HistTable, SiteHists, HIST_BUCKETS, HIST_SITE_CAPACITY};
+pub use cm_stats::{CmEvent, CmStats};
+pub use hist::{Hist32, SiteHists, HIST_BUCKETS};
 pub use hle::HleLock;
-pub use sites::{AdaptivePolicy, SitePlan, SiteSnapshot, SiteTable, SITE_CAPACITY};
+pub use ledger::{BackendMix, SiteLedger, SiteStats};
+pub use sites::{AdaptivePolicy, SitePlan, SiteSnapshot, SiteTable};
+pub use slots::SITE_CAPACITY;
 pub use state::{
     StateFlags, ThreadState, IN_CS, IN_FALLBACK, IN_HTM, IN_LOCK_WAITING, IN_OVERHEAD, IN_STM,
 };
@@ -184,8 +188,7 @@ impl TmLib {
             state: ThreadState::new(),
             truth: Truth::default(),
             sites,
-            hists: HistTable::detached(),
-            cm_stats: CmTable::new(),
+            ledger: SiteLedger::detached(),
             cm_tx: TxCm::default(),
             fb_attempts: 0,
         }
@@ -198,15 +201,12 @@ pub struct TmThread {
     pub(crate) state: ThreadState,
     /// Exact per-site instrumentation (validation only — see [`truth`]).
     pub truth: Truth,
-    /// Per-site adaptive statistics (live only under the adaptive backend).
+    /// Per-site adaptive-policy state (live only under the adaptive backend).
     pub sites: SiteTable,
-    /// Per-site latency/retry-depth histograms (detached — one branch per
-    /// section — until a profiling harness calls [`TmThread::enable_hists`]).
-    pub hists: HistTable,
-    /// Per-site contention-management interventions (yields, stalls,
-    /// escalations, priority aborts). Only the contended slow path writes
-    /// here.
-    pub cm_stats: CmTable,
+    /// Per-site evidence: fallback mix, latency/retry-depth histograms and
+    /// contention-management interventions (detached — one branch per hook
+    /// — until a profiling harness calls [`TmThread::enable_ledger`]).
+    pub ledger: SiteLedger,
     /// The running section's contention-management state (karma).
     pub(crate) cm_tx: TxCm,
     /// Software attempts the current fallback execution made (set by the
@@ -222,11 +222,11 @@ impl TmThread {
         self.state.clone()
     }
 
-    /// Attach the per-site histogram table. Called by profiling harnesses;
-    /// without it every completion pays exactly one branch and stores
-    /// nothing (the zero-cost-when-detached contract).
-    pub fn enable_hists(&mut self) {
-        self.hists = HistTable::new();
+    /// Attach the per-site ledger. Called by profiling harnesses; without
+    /// it every completion and booking hook pays exactly one branch and
+    /// stores nothing (the zero-cost-when-detached contract).
+    pub fn enable_ledger(&mut self) {
+        self.ledger = SiteLedger::new();
     }
 
     /// Execute `body` as a critical section beginning at source `line`
@@ -248,8 +248,8 @@ impl TmThread {
         self.state.set(IN_CS | IN_OVERHEAD);
         // Histogram bookkeeping: plain reads of the virtual cycle counter
         // and a thread-local attempt count — no simulated instructions, no
-        // shared-cacheline writes, and `hists.record` is one branch when
-        // the table is detached.
+        // shared-cacheline writes, and `ledger.record_completion` is one
+        // branch when the ledger is detached.
         let started = cpu.cycles();
         let mut attempts = 0u32;
         let mut fb_dwell = None;
@@ -270,12 +270,12 @@ impl TmThread {
             // non-transient abort: skip the doomed speculation and its
             // wasted abort cycles, go straight to the fallback path.
             if let Some(iv) = self.lib.cm.on_begin(cpu, line, &mut self.cm_tx) {
-                self.cm_stats.note(site, CmEvent::from(iv));
+                self.ledger.book_cm(site, CmEvent::from(iv));
             }
             let fb_start = cpu.cycles();
             let v = self.run_fallback(cpu, line, lock, site, &mut body);
             let done = cpu.cycles();
-            self.hists.record(
+            self.ledger.record_completion(
                 site,
                 done - started,
                 self.fb_attempts,
@@ -296,7 +296,7 @@ impl TmThread {
             // cycles when the manager does not intervene (the
             // single-thread parity contract).
             if let Some(iv) = self.lib.cm.on_begin(cpu, line, &mut self.cm_tx) {
-                self.cm_stats.note(site, CmEvent::from(iv));
+                self.ledger.book_cm(site, CmEvent::from(iv));
             }
 
             // Fast path: wait (outside the transaction) for the lock to be
@@ -353,7 +353,7 @@ impl TmThread {
         // elision waits) plus the fallback's software attempts when it ran
         // (one for the serial backends; the STM reports its commit
         // attempts, so software starvation shows in the same histogram).
-        self.hists.record(
+        self.ledger.record_completion(
             site,
             cpu.cycles() - started,
             attempts

@@ -1,25 +1,20 @@
-//! Per-site runtime statistics and the adaptive fallback policy.
+//! The adaptive fallback policy and its per-site state.
 //!
 //! The profiler's decision tree (core's `decision.rs`) can only *print*
 //! "this site wants a different fallback"; this module closes the loop by
 //! keeping the same per-site evidence inside the runtime and acting on it.
-//! Each [`crate::TmThread`] owns one [`SiteTable`]: a fixed-capacity,
-//! thread-private table keyed by critical-section site ([`Ip`]) holding
-//! abort-class / validation-failure / fallback-rate EWMAs, the site's
-//! current backend choice, and its retry budget.
+//! Each [`crate::TmThread`] owns one [`SiteTable`] keyed by critical-section
+//! site ([`Ip`]) holding abort-class / validation-failure / fallback-rate
+//! EWMAs, the site's current backend choice, its retry budget, and the
+//! hysteresis state — the policy's inputs only. What the policy *did* (the
+//! per-flavor fallback mix) is evidence, booked in the thread's
+//! [`crate::SiteLedger`] with everything else reported about the site.
 //!
-//! Design constraints (and why the table looks the way it does):
-//!
-//! * **Thread-private.** Only the owning thread ever touches its table, so
-//!   updating a site on the abort path writes no shared cache line — the
-//!   profiler's zero-perturbation story survives the control loop.
-//! * **No allocation after construction.** The table is a fixed array of
-//!   slots filled by open addressing; a site that cannot find a free slot
-//!   simply runs the unadapted default policy. The abort path therefore
-//!   never allocates (unlike a growable map).
-//! * **Pay-for-use.** A [`TmLib`](crate::TmLib) configured with a static
-//!   backend hands threads a zero-capacity table: every hook degenerates to
-//!   one `is_empty` branch.
+//! The table uses the runtime's per-site slot layout (see
+//! [`crate::slots`]): thread-private, no allocation after construction (a
+//! site that cannot be seated runs the unadapted default policy), and a
+//! zero-capacity detached form for static backends, where every hook is
+//! one branch.
 //!
 //! The policy constants live in [`AdaptivePolicy`] and are shared with the
 //! decision tree's `SwitchBackend` suggestion, so report advice and runtime
@@ -30,14 +25,12 @@ use txsim_htm::Ip;
 use txsim_pmu::AbortClass;
 
 use crate::backend::FallbackKind;
+use crate::slots::SiteSlots;
 
 /// Fixed-point one for the EWMAs (Q10).
 const ONE: u32 = 1 << 10;
 /// EWMA smoothing shift: alpha = 1/8 per observation.
 const SHIFT: u32 = 3;
-/// Default slot capacity of a [`SiteTable`] (sites that misbehave; clean
-/// sites never occupy a slot).
-pub const SITE_CAPACITY: usize = 128;
 
 #[inline]
 fn ewma_up(e: &mut u32) {
@@ -159,8 +152,7 @@ pub struct SitePlan {
     pub attempt_htm: bool,
 }
 
-/// Point-in-time view of one site's adaptive state, for the harness to fold
-/// into profiles and for tests.
+/// Point-in-time view of one site's adaptive state (tests and diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteSnapshot {
     /// The critical-section site.
@@ -169,30 +161,14 @@ pub struct SiteSnapshot {
     pub backend: FallbackKind,
     /// Backend switches performed at this site so far.
     pub switches: u64,
-    /// Fallback completions dispatched to the serial lock.
-    pub fb_lock: u64,
-    /// Fallback completions dispatched to the software TM.
-    pub fb_stm: u64,
-    /// Fallback completions dispatched to the elided lock.
-    pub fb_hle: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct SiteSlot {
-    site: Ip,
     backend: FallbackKind,
     execs: u64,
     switches: u64,
     cooldown: u64,
-    // Fallback completions per flavor since the last `take_delta`.
-    d_lock: u64,
-    d_stm: u64,
-    d_hle: u64,
-    d_switches: u64,
-    // Lifetime totals (snapshots / diagnostics).
-    t_lock: u64,
-    t_stm: u64,
-    t_hle: u64,
     // Q10 EWMAs, one observation per event (abort) or completion (decay).
     ewma_conflict: u32,
     ewma_capacity: u32,
@@ -201,21 +177,14 @@ struct SiteSlot {
     ewma_fallback: u32,
 }
 
-impl SiteSlot {
-    fn new(site: Ip) -> SiteSlot {
+impl Default for SiteSlot {
+    /// A freshly seated site starts on the serial lock, like a static run.
+    fn default() -> SiteSlot {
         SiteSlot {
-            site,
             backend: FallbackKind::Lock,
             execs: 0,
             switches: 0,
             cooldown: 0,
-            d_lock: 0,
-            d_stm: 0,
-            d_hle: 0,
-            d_switches: 0,
-            t_lock: 0,
-            t_stm: 0,
-            t_hle: 0,
             ewma_conflict: 0,
             ewma_capacity: 0,
             ewma_sync: 0,
@@ -223,7 +192,9 @@ impl SiteSlot {
             ewma_fallback: 0,
         }
     }
+}
 
+impl SiteSlot {
     /// Hardware abort-class shares (conflict, capacity, sync) plus the
     /// validation rate, as the policy's classify inputs.
     fn shares(&self) -> (f64, f64, f64, f64) {
@@ -251,25 +222,22 @@ impl SiteSlot {
     }
 }
 
-/// Thread-private per-site statistics. See the module docs for the
-/// zero-allocation / zero-sharing design constraints.
+/// Thread-private per-site adaptive-policy state. See the module docs for
+/// the zero-allocation / zero-sharing design constraints.
 #[derive(Debug)]
 pub struct SiteTable {
-    slots: Box<[Option<SiteSlot>]>,
+    slots: SiteSlots<SiteSlot>,
     policy: AdaptivePolicy,
     base_retries: u32,
-    /// Sites that could not be seated (table full) run unadapted.
-    overflow: u64,
 }
 
 impl SiteTable {
     /// A table for a thread of an adaptive [`crate::TmLib`].
     pub fn new(policy: AdaptivePolicy, base_retries: u32) -> SiteTable {
         SiteTable {
-            slots: vec![None; SITE_CAPACITY].into_boxed_slice(),
+            slots: SiteSlots::new(),
             policy,
             base_retries,
-            overflow: 0,
         }
     }
 
@@ -277,57 +245,28 @@ impl SiteTable {
     /// every hook returns after one branch and nothing is ever allocated.
     pub fn detached() -> SiteTable {
         SiteTable {
-            slots: Box::new([]),
+            slots: SiteSlots::detached(),
             policy: AdaptivePolicy::DEFAULT,
             base_retries: 0,
-            overflow: 0,
         }
     }
 
     /// Whether this table adapts at all.
     #[inline]
     pub fn is_adaptive(&self) -> bool {
-        !self.slots.is_empty()
+        !self.slots.is_detached()
     }
 
     /// Slot capacity (fixed for the table's lifetime — the no-allocation
     /// guarantee tests pin).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots.capacity()
     }
 
-    /// Sites that could not be seated and ran unadapted.
+    /// Events dropped because their site could not be seated (those sites
+    /// run unadapted).
     pub fn overflowed(&self) -> u64 {
-        self.overflow
-    }
-
-    fn slot_index(&self, site: Ip) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let cap = self.slots.len();
-        let hash = (site.func.0 as usize).wrapping_mul(0x9e37_79b9)
-            ^ (site.line as usize).wrapping_mul(31);
-        for probe in 0..cap {
-            let i = (hash + probe) % cap;
-            match &self.slots[i] {
-                Some(slot) if slot.site == site => return Some(i),
-                Some(_) => continue,
-                None => return Some(i),
-            }
-        }
-        None
-    }
-
-    fn slot_mut(&mut self, site: Ip, insert: bool) -> Option<&mut SiteSlot> {
-        let i = self.slot_index(site)?;
-        if self.slots[i].is_none() {
-            if !insert {
-                return None;
-            }
-            self.slots[i] = Some(SiteSlot::new(site));
-        }
-        self.slots[i].as_mut()
+        self.slots.overflowed()
     }
 
     /// Section-start hook: the execution plan for `site`. Ticks the site's
@@ -335,7 +274,7 @@ impl SiteTable {
     pub fn plan(&mut self, site: Ip) -> SitePlan {
         let base = self.base_retries;
         let policy = self.policy;
-        let Some(slot) = self.slot_mut(site, false) else {
+        let Some(slot) = self.slots.get_mut(site) else {
             return SitePlan {
                 max_retries: base,
                 attempt_htm: true,
@@ -361,11 +300,7 @@ impl SiteTable {
     /// Seats the site on first misbehavior; thereafter pure in-place
     /// arithmetic (no allocation, no shared write).
     pub fn note_abort(&mut self, site: Ip, class: AbortClass) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let Some(slot) = self.slot_mut(site, true) else {
-            self.overflow += 1;
+        let Some(slot) = self.slots.seat(site) else {
             return;
         };
         match class {
@@ -382,10 +317,10 @@ impl SiteTable {
     /// Commit hook (HTM path succeeded): decay every EWMA. Only sites that
     /// previously misbehaved are tracked; a clean site stays slot-free.
     pub fn note_commit(&mut self, site: Ip) {
-        if self.slots.is_empty() {
+        if self.slots.is_detached() {
             return;
         }
-        if let Some(slot) = self.slot_mut(site, false) {
+        if let Some(slot) = self.slots.get_mut(site) {
             ewma_down(&mut slot.ewma_conflict);
             ewma_down(&mut slot.ewma_capacity);
             ewma_down(&mut slot.ewma_sync);
@@ -399,11 +334,7 @@ impl SiteTable {
     /// the site.
     pub fn choose(&mut self, site: Ip) -> (FallbackKind, bool) {
         let policy = self.policy;
-        if self.slots.is_empty() {
-            return (FallbackKind::Lock, false);
-        }
-        let Some(slot) = self.slot_mut(site, true) else {
-            self.overflow += 1;
+        let Some(slot) = self.slots.seat(site) else {
             return (FallbackKind::Lock, false);
         };
         let mut switched = false;
@@ -416,7 +347,6 @@ impl SiteTable {
                 if want != slot.backend {
                     slot.backend = want;
                     slot.switches += 1;
-                    slot.d_switches += 1;
                     slot.cooldown = policy.cooldown;
                     switched = true;
                 }
@@ -425,77 +355,24 @@ impl SiteTable {
         (slot.backend, switched)
     }
 
-    /// Fallback-completion hook: count the flavor that ran and raise the
-    /// fallback-rate EWMA.
-    pub fn note_fallback(&mut self, site: Ip, flavor: FallbackKind) {
-        if self.slots.is_empty() {
-            return;
+    /// Fallback-completion hook: raise the site's fallback-rate EWMA.
+    pub fn note_fallback(&mut self, site: Ip) {
+        if let Some(slot) = self.slots.seat(site) {
+            ewma_up(&mut slot.ewma_fallback);
         }
-        let Some(slot) = self.slot_mut(site, true) else {
-            self.overflow += 1;
-            return;
-        };
-        match flavor {
-            FallbackKind::Lock => {
-                slot.d_lock += 1;
-                slot.t_lock += 1;
-            }
-            FallbackKind::Stm => {
-                slot.d_stm += 1;
-                slot.t_stm += 1;
-            }
-            FallbackKind::Hle => {
-                slot.d_hle += 1;
-                slot.t_hle += 1;
-            }
-            FallbackKind::Adaptive => {
-                unreachable!("adaptive dispatch resolves to a concrete flavor")
-            }
-        }
-        ewma_up(&mut slot.ewma_fallback);
     }
 
-    /// Snapshot every seated site (lifetime totals).
+    /// Snapshot every seated site.
     pub fn snapshot(&self) -> Vec<SiteSnapshot> {
         let mut out: Vec<SiteSnapshot> = self
             .slots
             .iter()
-            .flatten()
-            .map(|s| SiteSnapshot {
-                site: s.site,
+            .map(|(site, s)| SiteSnapshot {
+                site,
                 backend: s.backend,
                 switches: s.switches,
-                fb_lock: s.t_lock,
-                fb_stm: s.t_stm,
-                fb_hle: s.t_hle,
             })
             .collect();
-        out.sort_by_key(|s| (s.site.func.0, s.site.line));
-        out
-    }
-
-    /// Drain the per-flavor / switch counts accumulated since the last
-    /// call (EWMAs, choices and lifetime totals persist). Used by the
-    /// harness to publish per-round deltas without double counting.
-    pub fn take_delta(&mut self) -> Vec<SiteSnapshot> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.d_lock == 0 && slot.d_stm == 0 && slot.d_hle == 0 && slot.d_switches == 0 {
-                continue;
-            }
-            out.push(SiteSnapshot {
-                site: slot.site,
-                backend: slot.backend,
-                switches: slot.d_switches,
-                fb_lock: slot.d_lock,
-                fb_stm: slot.d_stm,
-                fb_hle: slot.d_hle,
-            });
-            slot.d_lock = 0;
-            slot.d_stm = 0;
-            slot.d_hle = 0;
-            slot.d_switches = 0;
-        }
         out.sort_by_key(|s| (s.site.func.0, s.site.line));
         out
     }
@@ -504,6 +381,7 @@ impl SiteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SITE_CAPACITY;
     use txsim_htm::FuncId;
 
     fn site(n: u32) -> Ip {
@@ -514,8 +392,8 @@ mod tests {
         for _ in 0..rounds {
             table.plan(s);
             table.note_abort(s, class);
-            let (flavor, _) = table.choose(s);
-            table.note_fallback(s, flavor);
+            table.choose(s);
+            table.note_fallback(s);
         }
     }
 
@@ -537,7 +415,6 @@ mod tests {
         let snap = &t.snapshot()[0];
         assert_eq!(snap.backend, FallbackKind::Stm);
         assert_eq!(snap.switches, 1, "hysteresis: no flapping");
-        assert!(snap.fb_stm > 0);
         assert_eq!(t.capacity(), SITE_CAPACITY, "no growth");
     }
 
@@ -602,29 +479,10 @@ mod tests {
         for _ in 0..200 {
             t.plan(site(6));
             t.note_abort(site(6), AbortClass::Validation);
-            let (flavor, _) = t.choose(site(6));
-            t.note_fallback(site(6), flavor);
+            t.choose(site(6));
+            t.note_fallback(site(6));
         }
         assert_eq!(t.snapshot()[0].backend, FallbackKind::Lock);
-    }
-
-    #[test]
-    fn take_delta_drains_counts_but_keeps_choice() {
-        let mut t = SiteTable::new(AdaptivePolicy::DEFAULT, 5);
-        drive(&mut t, site(7), AbortClass::Capacity, 50);
-        let d1 = t.take_delta();
-        assert_eq!(d1.len(), 1);
-        assert_eq!(d1[0].fb_lock + d1[0].fb_stm + d1[0].fb_hle, 50);
-        assert!(t.take_delta().is_empty(), "drained");
-        let snap = &t.snapshot()[0];
-        assert_eq!(
-            snap.fb_lock + snap.fb_stm + snap.fb_hle,
-            50,
-            "totals persist"
-        );
-        drive(&mut t, site(7), AbortClass::Capacity, 10);
-        let d2 = t.take_delta();
-        assert_eq!(d2[0].fb_lock + d2[0].fb_stm + d2[0].fb_hle, 10);
     }
 
     #[test]

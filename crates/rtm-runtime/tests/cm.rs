@@ -80,6 +80,7 @@ fn single_thread_runs_are_cycle_identical_across_policies() {
         let counter = d.heap.alloc_words(1);
         let mut cpu = d.spawn_cpu(SamplingConfig::disabled());
         let mut tm = lib.thread();
+        tm.enable_ledger();
         for _ in 0..500 {
             tm.critical_section(&mut cpu, 10, |cpu| {
                 cpu.rmw(11, counter, |v| v + 1)?;
@@ -88,7 +89,7 @@ fn single_thread_runs_are_cycle_identical_across_policies() {
         }
         assert_eq!(d.mem.load(counter), 500);
         assert!(
-            tm.cm_stats.is_empty(),
+            tm.ledger.take_delta().iter().all(|(_, s)| s.cm.is_zero()),
             "--cm {cm} must not intervene uncontended"
         );
         cycles_by_cm.push((cm, cpu.cycles()));

@@ -126,7 +126,7 @@ fn instrumentation_is_exactly_free_when_disabled() {
     }
 
     // Histograms are zero-cost when detached: a native (unprofiled) run
-    // hands every thread the zero-capacity HistTable, so even with
+    // hands every thread the zero-capacity SiteLedger, so even with
     // counters on, not one histogram store happens.
     obs::registry().reset();
     obs::set_enabled(true);
@@ -150,23 +150,23 @@ fn instrumentation_is_exactly_free_when_disabled() {
         profiled
             .profile
             .as_ref()
-            .is_some_and(|p| !p.hists.is_empty()),
+            .is_some_and(|p| !p.hist_sites().is_empty()),
         "sampling-off profiled run must still collect histograms"
     );
     assert_eq!(native.checksum, profiled.checksum);
 
     // And when attached, recording only *reads* the virtual cycle counter:
     // two identical single-thread runs against fresh domains — differing
-    // only in whether the histogram table is live — must land on the exact
+    // only in whether the ledger is live — must land on the exact
     // same simulated cycle count.
-    let run = |hists: bool| {
+    let run = |ledger: bool| {
         let domain = txsim_htm::HtmDomain::with_defaults();
         let lib = rtm_runtime::TmLib::new(&domain);
         let counter = domain.heap.alloc_words(1);
         let mut cpu = domain.spawn_cpu(txsim_htm::SamplingConfig::disabled());
         let mut tm = lib.thread();
-        if hists {
-            tm.enable_hists();
+        if ledger {
+            tm.enable_ledger();
         }
         for _ in 0..200 {
             tm.critical_section(&mut cpu, 42, |cpu| {
@@ -174,7 +174,7 @@ fn instrumentation_is_exactly_free_when_disabled() {
                 Ok(())
             });
         }
-        (cpu.cycles(), tm.hists.take_delta().len())
+        (cpu.cycles(), tm.ledger.take_delta().len())
     };
     let (base_cycles, base_sites) = run(false);
     let (hist_cycles, hist_sites) = run(true);
